@@ -12,6 +12,7 @@ elements are the trivial paths e_0 ... e_{k-1}, the primitive idempotents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -204,7 +205,7 @@ def build_path_algebra(quiver: Quiver, relations, truncation: int, p: int = 5) -
     if any(c < quiver.vertex_count + len(quiver.arrows) for c in ideal.pivots):
         raise ValueError("relations are not admissible: they reach below path length 2")
 
-    proj, _section = ideal.quotient_maps()  # n_paths x dim reduction map
+    proj, _ = ideal.quotient_maps()  # n_paths x dim reduction map
     pivot_set = set(ideal.pivots)
     keep = [i for i in range(n_paths) if i not in pivot_set]
     dim = len(keep)
@@ -369,6 +370,18 @@ class Algebra:
     def generator_indices(self) -> np.ndarray:
         """Basis indices of the trivial paths and arrows present in the basis."""
         return np.nonzero(self.path_lengths <= 1)[0]
+
+    @cached_property
+    def arrow_ends(self) -> list[tuple[int, int, int]]:
+        """(g, s, t) for every arrow g of the basis and every pair of vertices
+        with e_s * g * e_t != 0: one pair per arrow, its source and target,
+        on a path basis."""
+        k, p, t = self.num_vertices, self.p, self.table
+        ends = []
+        for g in self.generator_indices()[k:]:
+            sandwiched = np.tensordot(t[:k, g], t[:, :k], axes=(1, 0)) % p  # [s, t, :]
+            ends += [(int(g), int(s), int(e)) for s, e in np.argwhere(sandwiched.any(axis=2))]
+        return ends
 
     def opposite(self) -> "Algebra":
         """The opposite algebra, sharing labels and basis order; an involution."""

@@ -39,7 +39,6 @@ _EXIT_FAIL = 1
 _EXIT_INPUT = 2
 _EXIT_UNKNOWN = 3
 
-_CHECK_ORDER = ["main", "landrock", "nakayama-id", "adjunction", "duality"]
 _MODULE_RE = re.compile(r"^(P|I|S)(\d+)$")
 
 
@@ -125,7 +124,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     a = _algebra_from_args(args)
-    names = _CHECK_ORDER if args.check == "all" else [args.check]
+    names = list(ALL_CHECKS) if args.check == "all" else [args.check]
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("LOEWY_SEED", "0"))
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run structural checkers")
     _add_algebra_source(verify)
-    verify.add_argument("--check", choices=_CHECK_ORDER + ["all"], default="all")
+    verify.add_argument("--check", choices=list(ALL_CHECKS) + ["all"], default="all")
     verify.add_argument(
         "--seed",
         type=int,

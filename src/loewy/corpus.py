@@ -55,6 +55,11 @@ def random_quiver_spec(rng: np.random.Generator, p: int = 5, dim_cap: int = _DIM
     Draws are rejected (and redrawn) until the resulting algebra dimension
     is at most dim_cap, which keeps every draw desk scale.
     """
+    return _random_presentation(rng, p, dim_cap)[0]
+
+
+def _random_presentation(rng: np.random.Generator, p: int, dim_cap: int) -> tuple[dict, Algebra]:
+    """random_quiver_spec together with the algebra built to accept it."""
     for _ in range(500):
         k = int(rng.integers(1, 5))
         n_arrows = int(rng.integers(1, 7))
@@ -97,7 +102,7 @@ def random_quiver_spec(rng: np.random.Generator, p: int = 5, dim_cap: int = _DIM
         except ValueError:
             continue
         if algebra.dim <= dim_cap:
-            return spec
+            return spec, algebra
     raise RuntimeError("random presentation rejected too many times")
 
 
@@ -113,5 +118,5 @@ def default_corpus(seed: int = 0, p: int = 5, random_count: int = 20) -> list[tu
             entries.append((f"linear-A{m}-N{truncation}", linear_quiver_algebra(m, truncation, p)))
     rng = np.random.default_rng(seed)
     for t in range(random_count):
-        entries.append((f"random-{t:02d}", spec_to_algebra(random_quiver_spec(rng, p))))
+        entries.append((f"random-{t:02d}", _random_presentation(rng, p, _DIM_CAP)[1]))
     return entries

@@ -255,14 +255,6 @@ class Subspace:
         rows = combos.basis[:, : self.dim] @ self.basis
         return Subspace.from_rows(rows, self.ambient, self.p)
 
-    def pivot_selector(self) -> np.ndarray:
-        """ambient x dim matrix extracting coordinates: x @ sel = coefficients
-        of x in self.basis, valid for x inside the subspace."""
-        sel = np.zeros((self.ambient, self.dim), dtype=np.int64)
-        for t, c in enumerate(self.pivots):
-            sel[c, t] = 1
-        return sel
-
     def quotient_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates on F^ambient / self.
 

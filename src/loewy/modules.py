@@ -14,6 +14,7 @@ is the Nakayama functor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,21 @@ class Module:
                 raise ValueError(
                     f"action is not multiplicative against basis element {a.labels[g]!r}"
                 )
+
+    # Per-vertex blocks for hom_space, computed once: nothing reassigns
+    # action after __init__.
+    @cached_property
+    def _vertex_rows(self) -> list[Subspace]:
+        """V e_i, the row space of action[i], for each vertex i."""
+        idempotents = self.action[: self.algebra.num_vertices]
+        return [Subspace.from_rows(e, self.dim, self.algebra.p) for e in idempotents]
+
+    @cached_property
+    def _vertex_columns(self) -> list[Subspace]:
+        """The column space of action[i] for each vertex i, which holds the
+        columns of action[i] @ F for every map F out of this module."""
+        idempotents = self.action[: self.algebra.num_vertices]
+        return [Subspace.from_rows(e.T, self.dim, self.algebra.p) for e in idempotents]
 
     def act(self, x: np.ndarray) -> np.ndarray:
         """Action matrix of an arbitrary algebra element (row convention)."""
@@ -165,7 +181,7 @@ def subquotient(v: Module, top: Subspace, bot: Subspace) -> SubquotientModule:
     for j, pc in enumerate(bot.pivots):
         reducer[pc] = (reducer[pc] - bot.basis[j]) % p
     proj = reducer[:, piv_c]
-    action = (lift @ v.action @ proj) % p  # (dimA, q, q)
+    action = (lift @ v.action) % p @ proj % p  # (dimA, q, q)
     return SubquotientModule(v.algebra, action, v, top, bot, lift, proj)
 
 
@@ -208,36 +224,55 @@ def f_dual_map(f: ModuleMap) -> ModuleMap:
 def hom_space(u: Module, v: Module) -> list[ModuleMap]:
     """Basis of Hom(u, v), canonical for the given coordinate systems.
 
-    Solves the intertwining equations of every algebra basis element by
-    intersecting their kernels in basis order; the result is the reduced
-    row-echelon basis of the space of intertwiners.
+    Solved vertex by vertex.  An intertwiner F commutes with every
+    idempotent, so F = sum_i C_i^T P_i R_i, where the rows of C_i span the
+    column space of u.action[i], the rows of R_i span V e_i and each P_i is
+    a free dim(U e_i) x dim(V e_i) block of parameters.  Only the arrows
+    constrain the blocks: an arrow g with e_s g e_t != 0 asks X P_t = P_s Y,
+    where X and Y are g from block s to block t in u and in v.  The longer
+    basis elements are products of generators, so this assumes the action
+    is multiplicative, which Module checks and the functors preserve.  One
+    kernel over all arrow constraints gives the parameters; mapped back to
+    matrices and row-reduced they give the reduced row-echelon basis of the
+    space of intertwiners, flattened row-major.
     """
     if u.algebra is not v.algebra:
         raise ValueError("modules live over different algebras")
-    p = u.algebra.p
+    a = u.algebra
+    p = a.p
     du, dv = u.dim, v.dim
-    n = du * dv
+    cols, rows = u._vertex_columns, v._vertex_rows
+    offsets = np.cumsum([0] + [c.dim * r.dim for c, r in zip(cols, rows)])
+    m = int(offsets[-1])
+    if m == 0:
+        return []
+    constraints = []
+    for g, s, t in a.arrow_ends:
+        cs, rt = cols[s].dim, rows[t].dim
+        if cs * rt == 0:
+            continue
+        block = np.zeros((cs, rt, m), dtype=np.int64)
+        # Coefficient of P_t[c, d] in (X P_t)[a, b] is X[a, c] when b == d.
+        x = (u.action[s][cols[s].pivots] @ u.action[g]) % p @ cols[t].basis.T % p
+        block[:, :, offsets[t]:offsets[t + 1]] += np.einsum(
+            "ac,bd->abcd", x, np.eye(rt, dtype=np.int64)).reshape(cs, rt, -1)
+        # Coefficient of P_s[c, d] in (P_s Y)[a, b] is Y[d, b] when a == c.
+        y = (rows[s].basis @ v.action[g]) % p @ v.action[t][:, rows[t].pivots] % p
+        block[:, :, offsets[s]:offsets[s + 1]] -= np.einsum(
+            "ac,db->abcd", np.eye(cs, dtype=np.int64), y).reshape(cs, rt, -1)
+        constraints.append(block.reshape(cs * rt, m))
+    if constraints:
+        params = kernel(np.concatenate(constraints), p).basis
+    else:
+        params = np.eye(m, dtype=np.int64)
+    n = params.shape[0]
     if n == 0:
         return []
-    eye_u = np.eye(du, dtype=np.int64)
-    eye_v = np.eye(dv, dtype=np.int64)
-    basis: np.ndarray | None = None  # None means the full space of matrices
-    for c in range(u.algebra.dim):
-        constraint = (np.kron(u.action[c], eye_v) - np.kron(eye_u, v.action[c].T)) % p
-        if not constraint.any():
-            continue
-        if basis is None:
-            sol = kernel(constraint, p)
-            basis = sol.basis
-        else:
-            sol = kernel((constraint @ basis.T) % p, p)
-            if sol.dim == basis.shape[0]:
-                continue
-            basis = rref((sol.basis @ basis) % p, p)[0][: sol.dim]
-        if basis.shape[0] == 0:
-            return []
-    if basis is None:
-        basis = np.eye(n, dtype=np.int64)
+    maps = np.zeros((n, du, dv), dtype=np.int64)
+    for i, (c, r) in enumerate(zip(cols, rows)):
+        block = params[:, offsets[i]:offsets[i + 1]].reshape(n, c.dim, r.dim)
+        maps = (maps + (c.basis.T @ block) % p @ r.basis) % p
+    basis = rref(maps.reshape(-1, du * dv), p)[0]
     return [ModuleMap(u, v, row.reshape(du, dv)) for row in basis]
 
 

@@ -147,7 +147,7 @@ def capital_map(f: ModuleMap, n: int) -> ModuleMap:
     src = capital_n(f.source, n)
     tgt = capital_n(f.target, n)
     p = f.source.algebra.p
-    return ModuleMap(src, tgt, (src.lift @ f.matrix @ tgt.proj) % p)
+    return ModuleMap(src, tgt, (src.lift @ f.matrix) % p @ tgt.proj % p)
 
 
 def socle_map(f: ModuleMap, n: int) -> ModuleMap:
@@ -193,7 +193,7 @@ def adjunction_backward(g: ModuleMap, n: int) -> ModuleMap:
     src = capital_n(g.source, n)
     if src.bot.dim and ((src.bot.basis @ g.matrix) % p).any():
         raise ValueError("map does not kill rad^n of its source")
-    return ModuleMap(src, parent_w, (src.lift @ g.matrix @ tgt.lift) % p)
+    return ModuleMap(src, parent_w, (src.lift @ g.matrix) % p @ tgt.lift % p)
 
 
 def dual_socle_capital_iso(u: Module, n: int) -> tuple[ModuleMap, ModuleMap]:

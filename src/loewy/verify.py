@@ -282,12 +282,12 @@ def verify_adjunction(a: Algebra, sample_size: int = 3, seed: int = 0) -> Verifi
         cap_u = capital_map(map_u, n)
         soc_v = socle_map(map_v, n)
         # route 1: transport f along the square, then take the adjoint
-        transported = (cap_u.matrix @ f.matrix @ map_v.matrix) % p
+        transported = (cap_u.matrix @ f.matrix) % p @ map_v.matrix % p
         f2 = ModuleMap(capital_n(u2, n), v2, transported)
         lhs = adjunction_forward(f2, n).matrix
         # route 2: take the adjoint, then transport along the square
         eta_f = adjunction_forward(f, n)
-        rhs = (map_u.matrix @ eta_f.matrix @ soc_v.matrix) % p
+        rhs = (map_u.matrix @ eta_f.matrix) % p @ soc_v.matrix % p
         if not np.array_equal(lhs, rhs):
             failures += 1
         squares += 1

@@ -1,0 +1,143 @@
+"""hom_space against a reference solver that constrains every basis element.
+
+The reference is the direct method: one Kronecker constraint
+x F - F y = 0 per basis element of the algebra, over all dim U * dim V
+entries of F, with the kernels intersected in basis order.  It needs no
+assumption about which elements generate the algebra, so it checks the
+vertex-by-vertex, arrows-only solve of hom_space matrix for matrix.
+"""
+
+import numpy as np
+import pytest
+
+from loewy import (
+    a_dual,
+    build_nakayama,
+    f_dual,
+    hom_space,
+    injective,
+    projective,
+    radical_layer,
+    regular_module,
+    simple,
+    socle_layer,
+    spec_to_algebra,
+)
+from loewy.linalg import kernel, rref
+
+
+def reference_hom_basis(u, v) -> np.ndarray:
+    """Reduced row-echelon basis of Hom(u, v), flattened row-major."""
+    p = u.algebra.p
+    du, dv = u.dim, v.dim
+    n = du * dv
+    if n == 0:
+        return np.zeros((0, n), dtype=np.int64)
+    eye_u = np.eye(du, dtype=np.int64)
+    eye_v = np.eye(dv, dtype=np.int64)
+    basis = None  # None means the full space of matrices
+    for c in range(u.algebra.dim):
+        constraint = (np.kron(u.action[c], eye_v) - np.kron(eye_u, v.action[c].T)) % p
+        if not constraint.any():
+            continue
+        if basis is None:
+            basis = kernel(constraint, p).basis
+        else:
+            sol = kernel((constraint @ basis.T) % p, p)
+            if sol.dim == basis.shape[0]:
+                continue
+            basis = rref((sol.basis @ basis) % p, p)[0][: sol.dim]
+        if basis.shape[0] == 0:
+            break
+    return np.eye(n, dtype=np.int64) if basis is None else basis
+
+
+def _family(a):
+    """Over a: simples, projectives, injectives, the regular module and every
+    radical and socle layer of those.  Over the opposite algebra: a_dual(P_i),
+    the simples and the linear duals of the projectives, injectives and the
+    regular module."""
+    k, L = a.num_vertices, a.loewy_length
+    parents = [projective(a, i) for i in range(k)] + [injective(a, i) for i in range(k)]
+    parents.append(regular_module(a))
+    own = [simple(a, i) for i in range(k)] + parents
+    for v in parents:
+        own += [layer(v, n) for layer in (radical_layer, socle_layer) for n in range(1, L + 1)]
+    dual = [a_dual(projective(a, i)) for i in range(k)]
+    dual += [simple(a.opposite(), i) for i in range(k)] + [f_dual(v) for v in parents]
+    return own, dual
+
+
+def _distinct(mods):
+    """One module per action tensor: many layers repeat a simple."""
+    seen, out = set(), []
+    for v in mods:
+        key = (v.action.shape, v.action.tobytes())
+        if key not in seen:
+            seen.add(key)
+            out.append(v)
+    return out
+
+
+def _assert_matches_reference(a) -> int:
+    """Compare every ordered pair of the family; return how many Homs are 0."""
+    zeros = 0
+    for mods in _family(a):
+        mods = _distinct(mods)
+        for u in mods:
+            for v in mods:
+                got = hom_space(u, v)
+                want = reference_hom_basis(u, v)
+                assert len(got) == want.shape[0]
+                for f, row in zip(got, want):
+                    assert f.source is u and f.target is v
+                    assert np.array_equal(f.matrix, row.reshape(u.dim, v.dim))
+                zeros += not got
+    return zeros
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_hom_space_matches_reference_on_nakayama(k, ell):
+    zeros = _assert_matches_reference(build_nakayama(k, ell))
+    assert zeros > 0 or k == 1
+
+
+def _spec(p, vertices, arrows, relations, truncation):
+    return {
+        "field": {"p": p},
+        "quiver": {
+            "vertices": vertices,
+            "arrows": [{"name": n, "source": s, "target": t} for n, s, t in arrows],
+        },
+        "relations": [
+            [{"coeff": c, "path": list(path)} for c, path in rel] for rel in relations
+        ],
+        "truncation": truncation,
+    }
+
+
+# Random presentations of default_corpus(seed=2) that carry relations, and
+# the large-prime benchmark's random-27 (workload seed 1) over the largest
+# prime below 2**25.
+WITH_RELATIONS = {
+    "random-03": _spec(
+        5, 3, [("a0", 2, 1), ("a1", 1, 1), ("a2", 1, 1)],
+        [[(4, ["a0", "a1"])], [(3, ["a0", "a1"])]], 3),
+    "random-09": _spec(
+        5, 4, [("a0", 1, 0), ("a1", 1, 1), ("a2", 2, 1), ("a3", 2, 2), ("a4", 2, 2)],
+        [[(3, ["a4", "a2"]), (3, ["a3", "a2"])], [(1, ["a4", "a3"])]], 3),
+    "random-13": _spec(
+        5, 2, [("a0", 1, 0), ("a1", 0, 1)], [[(1, ["a1", "a0", "a1"])]], 4),
+    "large-random-27": _spec(
+        33554393, 2, [("a0", 1, 0), ("a1", 1, 0), ("a2", 1, 1), ("a3", 0, 1)],
+        [[(9723458, ["a2", "a1"]), (31088404, ["a2", "a0"])]], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITH_RELATIONS))
+def test_hom_space_matches_reference_with_relations(name):
+    a = spec_to_algebra(WITH_RELATIONS[name])
+    assert a.relations
+    _assert_matches_reference(a)
+

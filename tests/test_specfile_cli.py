@@ -204,3 +204,31 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert main(["emit-nakayama", "--k", "0", "--l", "2"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_verify_adjunction_exact_at_large_prime(tmp_path, capsys):
+    # At p = 33554393 a product of three matrices exceeds int64 unless it is
+    # reduced mod p between the two factors; this presentation and seed hit
+    # that in the naturality squares.
+    spec = {
+        "field": {"p": 33554393},
+        "quiver": {
+            "vertices": 2,
+            "arrows": [
+                {"name": "a0", "source": 1, "target": 0},
+                {"name": "a1", "source": 1, "target": 0},
+                {"name": "a2", "source": 1, "target": 1},
+                {"name": "a3", "source": 0, "target": 1},
+            ],
+        },
+        "relations": [
+            [{"coeff": 9723458, "path": ["a2", "a1"]}, {"coeff": 31088404, "path": ["a2", "a0"]}]
+        ],
+        "truncation": 3,
+    }
+    path = tmp_path / "large.json"
+    dump_spec(spec, path)
+    argv = ["verify", "--algebra", str(path), "--check", "adjunction", "--format", "json",
+            "--seed", "1"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
