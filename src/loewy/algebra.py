@@ -32,8 +32,6 @@ __all__ = [
 # this bound the constructor falls back to the equivalent generator check.
 _FULL_ASSOC_LIMIT = 48
 
-EXHAUSTIVE_SEARCH_LIMIT = 4096
-
 
 @dataclass(frozen=True)
 class Arrow:
@@ -151,7 +149,104 @@ def _validate_relation(rel: Relation, quiver: Quiver, p: int) -> list[tuple[int,
     return reduced
 
 
-def build_path_algebra(quiver: Quiver, relations, truncation: int, p: int = 5) -> "Algebra":
+class _Presentation:
+    """Stage one of build_path_algebra: the paths below the truncation and
+    the relation ideal, validated.  The quotient dimension is known here,
+    before the structure tensor is built, so callers can reject by size."""
+
+    def __init__(self, quiver: Quiver, relations, truncation: int, p: int):
+        self.field = PrimeField(p)
+        self.quiver = quiver
+        self.relations = tuple(relations)
+        self.truncation = truncation
+        if quiver.vertex_count == 0:
+            raise ValueError("algebra needs at least one vertex")
+        if truncation < 1:
+            raise ValueError("truncation must be >= 1")
+        if self.relations and truncation < 2:
+            raise ValueError("truncation must be >= 2 when relations are present")
+
+        self.paths = _enumerate_paths(quiver, truncation)
+        n_paths = len(self.paths)
+        self.index = {(q.source, q.arrows): i for i, q in enumerate(self.paths)}
+
+        # Span of u * rel * v over all path pairs, with length >= N terms
+        # dropped.  The terms of a relation are parallel, so only u ending at
+        # its source and v starting at its target can contribute, and only
+        # while the shortest term still fits below the truncation (the paths
+        # are sorted by length).
+        ideal_rows = []
+        for rel in self.relations:
+            terms = _validate_relation(rel, quiver, p)
+            if not terms:
+                continue
+            _, _, src, tgt = terms[0]
+            shortest = min(len(idx) for _, idx, _, _ in terms)
+            for u in self.paths:
+                if len(u.arrows) + shortest >= truncation:
+                    break
+                if u.target != src:
+                    continue
+                for v in self.paths:
+                    if len(u.arrows) + shortest + len(v.arrows) >= truncation:
+                        break
+                    if v.source != tgt:
+                        continue
+                    row = np.zeros(n_paths, dtype=np.int64)
+                    for coeff, idx, _, _ in terms:
+                        full = u.arrows + idx + v.arrows
+                        if len(full) < truncation:
+                            c = self.index[(u.source, full)]
+                            row[c] = (row[c] + coeff) % p
+                    if row.any():
+                        ideal_rows.append(row)
+        if ideal_rows:
+            self.ideal = Subspace.from_rows(np.array(ideal_rows), n_paths, p)
+        else:
+            self.ideal = Subspace.zero(n_paths, p)
+        # Admissible relations only touch coordinates of paths of length >= 2.
+        if any(c < quiver.vertex_count + len(quiver.arrows) for c in self.ideal.pivots):
+            raise ValueError("relations are not admissible: they reach below path length 2")
+
+    @property
+    def dim(self) -> int:
+        return len(self.paths) - self.ideal.dim
+
+    def build(self) -> "Algebra":
+        """Stage two: the structure tensor on the surviving paths, verified."""
+        truncation = self.truncation
+        proj, _ = self.ideal.quotient_maps()  # n_paths x dim reduction map
+        pivot_set = set(self.ideal.pivots)
+        basis_paths = [q for i, q in enumerate(self.paths) if i not in pivot_set]
+        dim = len(basis_paths)
+        labels = [_path_label(q, self.quiver) for q in basis_paths]
+        lengths = np.array([len(q.arrows) for q in basis_paths], dtype=np.int64)
+
+        table = np.zeros((dim, dim, dim), dtype=np.int64)
+        for a, qa in enumerate(basis_paths):
+            for b, qb in enumerate(basis_paths):
+                if qa.target != qb.source:
+                    continue
+                full = qa.arrows + qb.arrows
+                if len(full) >= truncation:
+                    continue
+                table[a, b] = proj[self.index[(qa.source, full)]]
+
+        return Algebra(
+            self.field,
+            table,
+            labels,
+            lengths,
+            self.quiver.vertex_count,
+            quiver=self.quiver,
+            relations=self.relations,
+            truncation=truncation,
+        )
+
+
+def build_path_algebra(
+    quiver: Quiver, relations, truncation: int, p: int = 5, *, _max_dim: int | None = None
+) -> "Algebra":
     """Build FQ / (<relations> + R**truncation) over GF(p).
 
     Args:
@@ -160,79 +255,16 @@ def build_path_algebra(quiver: Quiver, relations, truncation: int, p: int = 5) -
         truncation: N >= 1; all paths of length >= N are killed.  N >= 2 is
             required when relations are present.
         p: prime field modulus.
+        _max_dim: for the corpus generator: a larger quotient raises
+            ValueError before its structure tensor is built.
 
     Returns:
         the finite-dimensional Algebra, verified fail-fast.
     """
-    field = PrimeField(p)
-    relations = list(relations)
-    if quiver.vertex_count == 0:
-        raise ValueError("algebra needs at least one vertex")
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    if relations and truncation < 2:
-        raise ValueError("truncation must be >= 2 when relations are present")
-
-    paths = _enumerate_paths(quiver, truncation)
-    n_paths = len(paths)
-    index = {(q.source, q.arrows): i for i, q in enumerate(paths)}
-
-    # Span of u * rel * v over all path pairs, with length >= N terms dropped.
-    ideal_rows = []
-    for rel in relations:
-        terms = _validate_relation(rel, quiver, p)
-        if not terms:
-            continue
-        for u in paths:
-            for v in paths:
-                row = np.zeros(n_paths, dtype=np.int64)
-                hit = False
-                for coeff, idx, src, tgt in terms:
-                    if u.target != src or tgt != v.source:
-                        continue
-                    full = u.arrows + idx + v.arrows
-                    if len(full) >= truncation:
-                        continue
-                    row[index[(u.source, full)]] = (row[index[(u.source, full)]] + coeff) % p
-                    hit = True
-                if hit and row.any():
-                    ideal_rows.append(row)
-    if ideal_rows:
-        ideal = Subspace.from_rows(np.array(ideal_rows), n_paths, p)
-    else:
-        ideal = Subspace.zero(n_paths, p)
-    # Admissible relations only touch coordinates of paths of length >= 2.
-    if any(c < quiver.vertex_count + len(quiver.arrows) for c in ideal.pivots):
-        raise ValueError("relations are not admissible: they reach below path length 2")
-
-    proj, _ = ideal.quotient_maps()  # n_paths x dim reduction map
-    pivot_set = set(ideal.pivots)
-    keep = [i for i in range(n_paths) if i not in pivot_set]
-    dim = len(keep)
-    basis_paths = [paths[i] for i in keep]
-    labels = [_path_label(q, quiver) for q in basis_paths]
-    lengths = np.array([len(q.arrows) for q in basis_paths], dtype=np.int64)
-
-    table = np.zeros((dim, dim, dim), dtype=np.int64)
-    for a, qa in enumerate(basis_paths):
-        for b, qb in enumerate(basis_paths):
-            if qa.target != qb.source:
-                continue
-            full = qa.arrows + qb.arrows
-            if len(full) >= truncation:
-                continue
-            table[a, b] = proj[index[(qa.source, full)]]
-
-    return Algebra(
-        field,
-        table,
-        labels,
-        lengths,
-        quiver.vertex_count,
-        quiver=quiver,
-        relations=tuple(relations),
-        truncation=truncation,
-    )
+    presentation = _Presentation(quiver, relations, truncation, p)
+    if _max_dim is not None and presentation.dim > _max_dim:
+        raise ValueError(f"dimension {presentation.dim} exceeds {_max_dim}")
+    return presentation.build()
 
 
 class Algebra:
@@ -255,7 +287,6 @@ class Algebra:
         quiver: Quiver | None = None,
         relations=(),
         truncation: int | None = None,
-        _opposite: "Algebra | None" = None,
     ):
         self.field = field
         self.p = field.p
@@ -267,7 +298,7 @@ class Algebra:
         self.quiver = quiver
         self.relations = relations
         self.truncation = truncation
-        self._opp = _opposite
+        self._opp: "Algebra | None" = None
 
         if self.table.shape != (self.dim, self.dim, self.dim):
             raise ValueError(f"structure table has shape {self.table.shape}")
@@ -384,22 +415,27 @@ class Algebra:
         return ends
 
     def opposite(self) -> "Algebra":
-        """The opposite algebra, sharing labels and basis order; an involution."""
+        """The opposite algebra, sharing labels and basis order; an involution.
+
+        It is built from this verified algebra without a second check: the
+        transposed table satisfies the same laws, and rad^n is a two-sided
+        ideal, so the radical chain is the same list of subspaces."""
         if self._opp is None:
-            opp = Algebra(
-                self.field,
-                self.table.transpose(1, 0, 2).copy(),
-                self.labels,
-                self.path_lengths,
-                self.num_vertices,
-                quiver=self.quiver.reverse() if self.quiver is not None else None,
-                relations=tuple(
-                    Relation(tuple((c, tuple(reversed(path))) for c, path in rel.terms))
-                    for rel in self.relations
-                ),
-                truncation=self.truncation,
-                _opposite=self,
+            opp = Algebra.__new__(Algebra)
+            opp.field, opp.p, opp.dim = self.field, self.p, self.dim
+            opp.table = self.table.transpose(1, 0, 2).copy()
+            opp.labels, opp.path_lengths = self.labels, self.path_lengths
+            opp.num_vertices = self.num_vertices
+            opp.quiver = self.quiver.reverse() if self.quiver is not None else None
+            opp.relations = tuple(
+                Relation(tuple((c, tuple(reversed(path))) for c, path in rel.terms))
+                for rel in self.relations
             )
+            opp.truncation = self.truncation
+            opp.idempotents, opp.one = self.idempotents, self.one
+            opp.radical, opp._radical_chain = self.radical, self._radical_chain
+            opp.loewy_length = self.loewy_length
+            opp._opp = self
             self._opp = opp
         return self._opp
 
@@ -415,56 +451,94 @@ class Algebra:
 
 @dataclass(eq=False)
 class SymmetryResult:
-    """Outcome of the symmetric-algebra search: yes / no / unknown."""
+    """Outcome of the symmetry decision: "yes" with a symmetrizing form, or "no"."""
 
     status: str
     form: np.ndarray | None = None
 
 
-def is_symmetric(
-    a: Algebra,
-    trials: int = 512,
-    seed: int = 0,
-    exhaustive_limit: int = EXHAUSTIVE_SEARCH_LIMIT,
-) -> SymmetryResult:
-    """Search for a symmetrizing form on a.
+def is_symmetric(a: Algebra, seed: int = 0) -> SymmetryResult:
+    """Decide whether a is symmetric, with a symmetrizing form as witness.
 
     A witness is a linear form l with l(xy) = l(yx) whose Gram matrix
-    l(basis_a * basis_b) is nondegenerate.  The symmetric candidates form a
-    linear subspace; when p**dim of that space is at most exhaustive_limit
-    the search is exhaustive and a negative answer is definitive ("no"),
-    otherwise `trials` seeded random candidates are tried and failure is
-    reported as "unknown".
+    l(basis_a * basis_b) is nondegenerate.  The decision is exact and
+    enumerates no forms.  The radical of the bilinear form of l is the
+    largest right ideal inside ker l, and every nonzero right ideal contains
+    a minimal one, a simple submodule of soc(A_A).  A basic algebra with a
+    nondegenerate form is Frobenius, so each soc(A_A) e_j is a line s_j F,
+    and then l is nondegenerate exactly when l(s_j) != 0 for every j
+    (Skowronski-Yamagata, Frobenius Algebras I, EMS 2011).  So the answer
+    is "no" when some soc(A_A) e_j is not a line, or when no form vanishing
+    on commutators is nonzero on every s_j.
+
+    seed is accepted for compatibility and has no effect.
     """
-    p, d, t = a.p, a.dim, a.table
+    p, d, k, t = a.p, a.dim, a.num_vertices, a.table
     diffs = (t - t.transpose(1, 0, 2)).reshape(d * d, d) % p
     cand = kernel(diffs, p)  # forms vanishing on commutators, as rows
-    m = cand.dim
-    if m == 0:
+    # soc(A_A): the x with x * r = 0 for every radical basis element r.
+    socle = kernel(t[:, k:, :].transpose(1, 2, 0).reshape((d - k) * d, d), p)
+    lines = []
+    for j in range(k):
+        part = Subspace.from_rows(socle.basis @ t[:, j, :], d, p)  # soc(A_A) e_j
+        if part.dim != 1:
+            return SymmetryResult("no")
+        lines.append(part.basis[0])
+    phi = (cand.basis @ np.array(lines).T) % p  # phi[:, j] = values on s_j
+    if not phi.any(axis=0).all():
         return SymmetryResult("no")
-
-    def nondegenerate(lam: np.ndarray) -> bool:
-        gram = np.tensordot(t, lam, axes=([2], [0])) % p
-        return len(rref(gram, p)[1]) == d
-
-    for row in cand.basis:
-        if nondegenerate(row):
-            return SymmetryResult("yes", row.copy())
-    if p**m <= exhaustive_limit:
-        for coeffs in np.ndindex(*([p] * m)):
-            c = np.array(coeffs, dtype=np.int64)
-            if not c.any():
-                continue
-            lam = (c @ cand.basis) % p
-            if nondegenerate(lam):
-                return SymmetryResult("yes", lam)
+    c = _nonvanishing_combination(phi, p)
+    if c is None:
         return SymmetryResult("no")
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        c = rng.integers(0, p, size=m)
-        if not c.any():
+    lam = (c @ cand.basis) % p
+    gram = np.tensordot(t, lam, axes=([2], [0])) % p
+    if len(rref(gram, p)[1]) != d:
+        raise RuntimeError("the symmetrizing form found has a degenerate Gram matrix")
+    return SymmetryResult("yes", lam)
+
+
+# The enumeration in _nonvanishing_combination handles this many points at once.
+_GRID_POINTS = 1 << 16
+
+
+def _nonvanishing_combination(phi: np.ndarray, p: int) -> np.ndarray | None:
+    """A c with every entry of c @ phi nonzero mod p, or None if there is none.
+
+    No column of phi may be zero.  A line search fixes one column at a time,
+    along a direction on which that column does not vanish; each column
+    already fixed rules out at most one step, so it succeeds whenever phi
+    has fewer than p columns.  Otherwise the image of phi, of dimension
+    r <= k for k columns, is enumerated: p**r <= k**k points.
+    """
+    m, k = phi.shape
+    c = np.zeros(m, dtype=np.int64)
+    values = np.zeros(k, dtype=np.int64)  # c @ phi
+    for j in range(k):
+        if values[j]:
             continue
-        lam = (c.astype(np.int64) @ cand.basis) % p
-        if nondegenerate(lam):
-            return SymmetryResult("yes", lam)
-    return SymmetryResult("unknown")
+        row = int(np.nonzero(phi[:, j])[0][0])
+        for step in range(1, p):
+            trial = (values + step * phi[row]) % p
+            if trial[: j + 1].all():
+                c[row] = (c[row] + step) % p
+                values = trial
+                break
+        else:
+            break
+    else:
+        return c
+    rows = rref(phi.T, p)[1]  # independent rows of phi, spanning its image
+    r = len(rows)
+    tail = r
+    while p**tail > _GRID_POINTS:
+        tail -= 1
+    coeffs = np.empty((p**tail, r), dtype=np.int64)
+    coeffs[:, r - tail:] = np.indices((p,) * tail).reshape(tail, -1).T
+    for head in np.ndindex(*([p] * (r - tail))):
+        coeffs[:, : r - tail] = head
+        hits = np.nonzero(((coeffs @ phi[rows]) % p).all(axis=1))[0]
+        if hits.size:
+            c[:] = 0
+            c[rows] = coeffs[hits[0]]
+            return c
+    return None

@@ -131,7 +131,7 @@ def _cmd_verify(args) -> int:
     reports = []
     for name in names:
         fn = ALL_CHECKS[name]
-        reports.append(fn(a) if name in ("main", "duality") else fn(a, seed=seed))
+        reports.append(fn(a) if name in ("main", "landrock", "duality") else fn(a, seed=seed))
     report = merge_reports(reports)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

@@ -59,7 +59,10 @@ def random_quiver_spec(rng: np.random.Generator, p: int = 5, dim_cap: int = _DIM
 
 
 def _random_presentation(rng: np.random.Generator, p: int, dim_cap: int) -> tuple[dict, Algebra]:
-    """random_quiver_spec together with the algebra built to accept it."""
+    """random_quiver_spec together with the algebra built to accept it.
+
+    A draw is rejected on the dimension of its relation quotient, before
+    any structure tensor is built for it."""
     for _ in range(500):
         k = int(rng.integers(1, 5))
         n_arrows = int(rng.integers(1, 7))
@@ -98,11 +101,9 @@ def _random_presentation(rng: np.random.Generator, p: int, dim_cap: int) -> tupl
             "truncation": truncation,
         }
         try:
-            algebra = spec_to_algebra(spec)
+            return spec, spec_to_algebra(spec, _max_dim=dim_cap)
         except ValueError:
             continue
-        if algebra.dim <= dim_cap:
-            return spec, algebra
     raise RuntimeError("random presentation rejected too many times")
 
 

@@ -23,9 +23,6 @@ __all__ = [
     "kernel",
     "image",
     "solve",
-    "subspace_sum",
-    "subspace_intersection",
-    "quotient_basis_extension",
     "complement_basis",
 ]
 
@@ -274,18 +271,6 @@ class Subspace:
         for t, f in enumerate(free):
             section[t, f] = 1
         return proj, section
-
-
-def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
-    return s.sum_with(t)
-
-
-def subspace_intersection(s: Subspace, t: Subspace) -> Subspace:
-    return s.intersect(t)
-
-
-def quotient_basis_extension(s: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    return s.quotient_maps()
 
 
 def complement_basis(top: Subspace, bot: Subspace) -> np.ndarray:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Algebra, EXHAUSTIVE_SEARCH_LIMIT
+from .algebra import Algebra
 from .linalg import Subspace, complement_basis, kernel, rref
 
 __all__ = [
@@ -41,6 +41,9 @@ __all__ = [
     "quotient_module",
     "find_isomorphism",
 ]
+
+# find_isomorphism tries every combination of a Hom basis up to this many.
+EXHAUSTIVE_SEARCH_LIMIT = 4096
 
 
 class Module:

@@ -72,8 +72,12 @@ def validate_spec(spec) -> dict:
     return spec
 
 
-def spec_to_algebra(spec: dict) -> Algebra:
-    """Build the algebra described by a validated spec dict."""
+def spec_to_algebra(spec: dict, *, _max_dim: int | None = None) -> Algebra:
+    """Build the algebra described by a validated spec dict.
+
+    _max_dim is for the corpus generator: a presentation whose quotient is
+    larger raises SpecFileError before its structure tensor is built.
+    """
     validate_spec(spec)
     try:
         quiver = Quiver(
@@ -84,7 +88,8 @@ def spec_to_algebra(spec: dict) -> Algebra:
             Relation(tuple((term["coeff"], tuple(term["path"])) for term in rel))
             for rel in spec["relations"]
         ]
-        return build_path_algebra(quiver, relations, spec["truncation"], spec["field"]["p"])
+        return build_path_algebra(quiver, relations, spec["truncation"], spec["field"]["p"],
+                                  _max_dim=_max_dim)
     except ValueError as exc:
         raise SpecFileError(str(exc)) from exc
 

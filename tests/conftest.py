@@ -1,6 +1,6 @@
 import pytest
 
-from loewy import build_nakayama, linear_quiver_algebra
+from loewy import build_nakayama, default_corpus, linear_quiver_algebra
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +19,9 @@ def n22():
 def a3():
     """Linear quiver 0 -> 1 -> 2, truncated at length 3."""
     return linear_quiver_algebra(3, 3)
+
+
+@pytest.fixture(scope="session")
+def corpus0():
+    """default_corpus(seed=0): 42 algebras, 20 of them random presentations."""
+    return default_corpus(seed=0)

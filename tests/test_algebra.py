@@ -132,6 +132,34 @@ def test_opposite_reverses_products(n32):
     assert opp.loewy_length == n32.loewy_length
 
 
+@pytest.mark.parametrize("name", ["n32", "n22", "a3", "loop", "relations"])
+def test_opposite_matches_a_fresh_build(name, n32, n22, a3, monkeypatch):
+    if name == "loop":
+        a = build_path_algebra(Quiver(1, [Arrow("x", 0, 0), Arrow("y", 0, 0)]), [], 3, P)
+    elif name == "relations":
+        q = Quiver(2, [Arrow("a", 0, 1), Arrow("b", 1, 0), Arrow("c", 0, 1)])
+        rels = [Relation.of((1, ("a", "b")), (3, ("c", "b"))), Relation.of((2, ("b", "c")),)]
+        a = build_path_algebra(q, rels, 4, P)
+    else:
+        a = {"n32": n32, "n22": n22, "a3": a3}[name]
+    fresh = Algebra(a.field, a.table.transpose(1, 0, 2), a.labels, a.path_lengths,
+                    a.num_vertices)
+    inits = []
+    original = Algebra.__init__
+    monkeypatch.setattr(Algebra, "__init__",
+                        lambda self, *args, **kw: inits.append(1) or original(self, *args, **kw))
+    opp = a.opposite()
+    assert inits == []  # reuses the verified parent
+    assert opp.opposite() is a
+    assert np.array_equal(opp.table, fresh.table)
+    assert opp.loewy_length == fresh.loewy_length
+    assert opp.radical == fresh.radical
+    for n in range(fresh.loewy_length + 2):
+        assert np.array_equal(opp.radical_power(n).basis, fresh.radical_power(n).basis)
+    assert np.array_equal(opp.one, fresh.one)
+    assert opp.arrow_ends == fresh.arrow_ends
+
+
 def test_generator_indices(n32):
     assert n32.generator_indices().tolist() == [0, 1, 2, 3, 4, 5]
 
@@ -160,7 +188,9 @@ def test_symmetric_grid_cases():
 def test_hereditary_a2_is_not_symmetric():
     a2 = linear_quiver_algebra(2, 2)
     res = is_symmetric(a2)
-    assert res.status == "no"  # exhaustive search space, definitive answer
+    # soc(A_A) is <e1, b0>: soc(A_A) e0 = 0 and soc(A_A) e1 is a plane, so
+    # A_2 is not Frobenius, let alone symmetric
+    assert res.status == "no"
     assert res.form is None
 
 

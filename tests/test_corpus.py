@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from loewy import (
+    Algebra,
     algebra_to_spec,
     default_corpus,
     linear_quiver_algebra,
@@ -68,3 +69,20 @@ def test_default_corpus_random_specs_are_pinned():
     assert len(texts) == 20
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == \
         "364b7dedd6125a5cc4487afe24013c352152574a96f6e8ce274db71be5afd807"
+
+
+def test_default_corpus_rejects_draws_before_building_them(monkeypatch):
+    # default_corpus(seed=0) rejects draws of up to 128 paths; none of them
+    # may reach the structure tensor and its checks
+    from loewy import algebra
+
+    inits, presented = [], []
+    original_init, original_present = Algebra.__init__, algebra._Presentation.__init__
+    monkeypatch.setattr(Algebra, "__init__",
+                        lambda self, *args, **kw: inits.append(1) or original_init(self, *args, **kw))
+    monkeypatch.setattr(algebra._Presentation, "__init__",
+                        lambda self, *args: presented.append(1) or original_present(self, *args))
+    corpus = default_corpus(seed=0)
+    assert len(corpus) == 42
+    assert len(inits) == 42
+    assert len(presented) > 42  # some draws were rejected

@@ -10,8 +10,6 @@ from loewy.linalg import (
     rank,
     rref,
     solve,
-    subspace_intersection,
-    subspace_sum,
 )
 
 P = 5
@@ -130,8 +128,8 @@ def test_sum_intersection_dimension_formula():
     for _ in range(20):
         s = Subspace.from_rows(rng.integers(0, P, size=(3, 7)), 7, P)
         t = Subspace.from_rows(rng.integers(0, P, size=(3, 7)), 7, P)
-        both = subspace_sum(s, t)
-        meet = subspace_intersection(s, t)
+        both = s.sum_with(t)
+        meet = s.intersect(t)
         assert both.dim + meet.dim == s.dim + t.dim
         assert both.contains(s) and both.contains(t)
         assert s.contains(meet) and t.contains(meet)
@@ -160,8 +158,8 @@ def test_zero_and_full():
     f = Subspace.full(4, P)
     assert z.dim == 0 and f.dim == 4
     assert f.contains(z)
-    assert subspace_sum(z, f) == f
-    assert subspace_intersection(z, f) == z
+    assert z.sum_with(f) == f
+    assert z.intersect(f) == z
 
 
 def test_zero_ambient_edge_cases():
@@ -190,4 +188,4 @@ def test_incompatible_subspaces_rejected():
     s = Subspace.from_rows(np.array([[1, 0]]), 2, P)
     t = Subspace.from_rows(np.array([[1, 0, 0]]), 3, P)
     with pytest.raises(ValueError):
-        subspace_sum(s, t)
+        s.sum_with(t)
