@@ -11,6 +11,7 @@ elements are the trivial paths e_0 ... e_{k-1}, the primitive idempotents.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -299,6 +300,9 @@ class Algebra:
         self.relations = relations
         self.truncation = truncation
         self._opp: "Algebra | None" = None
+        # Set on an opposite: a weak link back to the algebra it was built
+        # from, so the pair forms no reference cycle.
+        self._opp_of: "weakref.ref[Algebra] | None" = None
 
         if self.table.shape != (self.dim, self.dim, self.dim):
             raise ValueError(f"structure table has shape {self.table.shape}")
@@ -419,7 +423,12 @@ class Algebra:
 
         It is built from this verified algebra without a second check: the
         transposed table satisfies the same laws, and rad^n is a two-sided
-        ideal, so the radical chain is the same list of subspaces."""
+        ideal, so the radical chain is the same list of subspaces.  An
+        opposite holds its parent only weakly and rebuilds it if it is gone;
+        then no module over the old parent can be alive either."""
+        parent = self._opp_of() if self._opp_of is not None else None
+        if parent is not None:
+            return parent
         if self._opp is None:
             opp = Algebra.__new__(Algebra)
             opp.field, opp.p, opp.dim = self.field, self.p, self.dim
@@ -435,7 +444,8 @@ class Algebra:
             opp.idempotents, opp.one = self.idempotents, self.one
             opp.radical, opp._radical_chain = self.radical, self._radical_chain
             opp.loewy_length = self.loewy_length
-            opp._opp = self
+            opp._opp = None
+            opp._opp_of = weakref.ref(self)
             self._opp = opp
         return self._opp
 

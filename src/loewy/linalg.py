@@ -12,6 +12,8 @@ or small p with d in the hundreds).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
 ]
 
 
+@lru_cache
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

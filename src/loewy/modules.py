@@ -56,6 +56,11 @@ class Module:
                 or self.action.shape[1] != self.action.shape[2]:
             raise ValueError(f"action tensor has shape {self.action.shape}")
         self.dim = self.action.shape[1]
+        # rad^n V and soc^n V by level n, filled by series.radical_n and
+        # series.socle_n, and the linear dual, filled by f_dual.
+        self._radicals: dict[int, Subspace] = {}
+        self._socles: dict[int, Subspace] = {}
+        self._f_dual: Module | None = None
         if check:
             self._verify()
 
@@ -63,15 +68,18 @@ class Module:
         a, p, d = self.algebra, self.algebra.p, self.dim
         if not np.array_equal(self.act(a.one), np.eye(d, dtype=np.int64)):
             raise ValueError("identity does not act as the identity matrix")
-        # Multiplicativity against the generators; products of generators give
-        # every basis element, so this pins down the whole action.
-        for g in a.generator_indices():
-            prod = np.tensordot(a.table[:, g, :], self.action, axes=([1], [0])) % p
-            direct = (self.action @ self.action[g]) % p
-            if not np.array_equal(prod, direct):
-                raise ValueError(
-                    f"action is not multiplicative against basis element {a.labels[g]!r}"
-                )
+        # Multiplicativity against the generators, all in one product;
+        # products of generators give every basis element, so this pins down
+        # the whole action.
+        gens = a.generator_indices()
+        prod = np.tensordot(a.table[:, gens, :], self.action, axes=([2], [0])) % p
+        direct = (self.action[:, None] @ self.action[gens][None]) % p
+        bad = (prod != direct).any(axis=(0, 2, 3))
+        if bad.any():
+            g = gens[int(np.argmax(bad))]
+            raise ValueError(
+                f"action is not multiplicative against basis element {a.labels[g]!r}"
+            )
 
     # Per-vertex blocks for hom_space, computed once: nothing reassigns
     # action after __init__.
@@ -214,9 +222,12 @@ def f_dual(v: Module) -> Module:
     """Linear dual of v as a module over the opposite algebra.
 
     Actions are transposed; applying f_dual twice returns the original
-    action tensor on the nose.
+    action tensor on the nose.  The dual is built once per module and
+    cached on it, so its own filtrations are computed once too.
     """
-    return Module(v.algebra.opposite(), v.action.transpose(0, 2, 1).copy(), check=False)
+    if v._f_dual is None:
+        v._f_dual = Module(v.algebra.opposite(), v.action.transpose(0, 2, 1).copy(), check=False)
+    return v._f_dual
 
 
 def f_dual_map(f: ModuleMap) -> ModuleMap:

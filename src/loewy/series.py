@@ -2,10 +2,16 @@
 
 For a right module V the two filtrations are computed from the radical
 powers of the algebra: rad^n V = V * rad^n A and soc^n V is the joint
-kernel of the action of rad^n A.  Layers are explicit subquotient modules
-that remember projection/section coordinate maps into the parent, which
-makes the capital/socle adjunction and the two duality isomorphisms exact
-matrix identities rather than approximate constructions.
+kernel of the action of rad^n A.  Each level takes one product of the
+action tensor with a basis of rad^n A and is computed once per module:
+the terms are cached on the Module, keyed by n clipped to the Loewy
+length L (rad^n V = 0 and soc^n V = V for n >= L).  Modules and their
+subspaces are never changed after construction, so layers, capitals,
+socle submodules, the adjunction and the duality maps all read the same
+cached terms.  Layers are explicit subquotient modules that remember
+projection/section coordinate maps into the parent, which makes the
+capital/socle adjunction and the two duality isomorphisms exact matrix
+identities rather than approximate constructions.
 """
 
 from __future__ import annotations
@@ -85,27 +91,38 @@ def socle_n(v: Module, n: int) -> Subspace:
     """The subspace soc^n V = {x : x * rad^n A = 0}; soc^0 V = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a = v.algebra
-    rad = a.radical_power(n)
-    if rad.dim == 0 or v.dim == 0:
-        return Subspace.full(v.dim, a.p)
-    mats = np.array([v.act(r) for r in rad.basis], dtype=np.int64)
-    stacked = mats.transpose(0, 2, 1).reshape(-1, v.dim)
-    return kernel(stacked, a.p)
+    n = min(n, v.algebra.loewy_length)
+    if n not in v._socles:
+        v._socles[n] = _annihilator(v, n)
+    return v._socles[n]
 
 
 def radical_n(v: Module, n: int) -> Subspace:
     """The subspace rad^n V = V * rad^n A; rad^0 V = V."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a = v.algebra
-    if n == 0:
-        return Subspace.full(v.dim, a.p)
-    rad = a.radical_power(n)
-    if rad.dim == 0:
-        return Subspace.zero(v.dim, a.p)
-    rows = np.concatenate([v.act(r) for r in rad.basis])
-    return Subspace.from_rows(rows, v.dim, a.p)
+    n = min(n, v.algebra.loewy_length)
+    if n not in v._radicals:
+        v._radicals[n] = _image(v, n)
+    return v._radicals[n]
+
+
+def _rad_action(v: Module, n: int) -> np.ndarray:
+    """The action matrices of a basis of rad^n A, one (dim rad^n A, d, d)
+    product; each entry sums dim A terms below p**2, as Module.act does."""
+    return np.tensordot(v.algebra.radical_power(n).basis, v.action, axes=(1, 0)) % v.algebra.p
+
+
+def _annihilator(v: Module, n: int) -> Subspace:
+    if v.dim == 0:
+        return Subspace.full(0, v.algebra.p)
+    return kernel(_rad_action(v, n).transpose(0, 2, 1).reshape(-1, v.dim), v.algebra.p)
+
+
+def _image(v: Module, n: int) -> Subspace:
+    if n == 0 or v.dim == 0:
+        return Subspace.full(v.dim, v.algebra.p)
+    return Subspace.from_rows(_rad_action(v, n).reshape(-1, v.dim), v.dim, v.algebra.p)
 
 
 def socle_series(v: Module) -> LoewySeries:

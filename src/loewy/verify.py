@@ -158,6 +158,9 @@ def verify_landrock(a: Algebra) -> VerificationReport:
     simples = [simple(a, i) for i in range(k)]
     dual_simples = [f_dual(s) for s in simples]
     projectives = [projective(a, i) for i in range(k)]
+    rad_layers = {
+        (i, n): radical_layer(projectives[i], n) for i in range(k) for n in range(1, L + 1)
+    }
     evidence = []
     ok = True
     for j in range(k):
@@ -166,7 +169,7 @@ def verify_landrock(a: Algebra) -> VerificationReport:
             dual_rad_layer = radical_layer(dual_pj, n)
             soc_layer_pj = socle_layer(projectives[j], n)
             for i in range(k):
-                d1 = len(hom_space(radical_layer(projectives[i], n), simples[j]))
+                d1 = len(hom_space(rad_layers[(i, n)], simples[j]))
                 d2 = len(hom_space(dual_rad_layer, dual_simples[i]))
                 d3 = len(hom_space(simples[i], soc_layer_pj))
                 evidence.append((i, j, n, d1, d2, d3))
@@ -200,18 +203,22 @@ def verify_nakayama_identity(a: Algebra, trials: int = 512, seed: int = 0) -> Ve
     return _report(a, CheckResult("nakayama-id", status, evidence), t0)
 
 
-def _sample_family(a: Algebra) -> list[tuple[str, Module]]:
+def _standard_family(a: Algebra) -> list[tuple[str, Module]]:
+    """The simples, projectives and injectives, labelled S{i}, P{i}, I{i}."""
     k = a.num_vertices
-    family: list[tuple[str, Module]] = []
-    for i in range(k):
-        family.append((f"S{i}", simple(a, i)))
-    for i in range(k):
-        family.append((f"P{i}", projective(a, i)))
-    for i in range(k):
-        family.append((f"I{i}", injective(a, i)))
+    family: list[tuple[str, Module]] = [(f"S{i}", simple(a, i)) for i in range(k)]
+    family += [(f"P{i}", projective(a, i)) for i in range(k)]
+    family += [(f"I{i}", injective(a, i)) for i in range(k)]
+    return family
+
+
+def _sample_family(a: Algebra) -> list[tuple[str, Module]]:
+    """The standard family and, when L >= 2, the second radical layers of
+    the projectives."""
+    family = _standard_family(a)
     if a.loewy_length >= 2:
-        for i in range(k):
-            family.append((f"rad_2(P{i})", radical_layer(projective(a, i), 2)))
+        family += [(f"rad_2({label})", radical_layer(mod, 2))
+                   for label, mod in family if label.startswith("P")]
     return family
 
 
@@ -311,8 +318,7 @@ def verify_duality_lemmas(a: Algebra) -> VerificationReport:
     L = a.loewy_length
     evidence = []
     ok = True
-    family = [(label, mod) for label, mod in _sample_family(a) if not label.startswith("rad_")]
-    for label, u in family:
+    for label, u in _standard_family(a):
         du = f_dual(u)
         for n in range(L + 1):
             try:

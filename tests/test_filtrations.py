@@ -1,0 +1,233 @@
+"""The cached radical and socle series against a per-element reference.
+
+socle_n and radical_n compute each level once per module, with one product
+by a basis of rad^n A, and keep it on the module.  The reference below is
+the direct method: one action matrix per basis element of rad^n A, stacked
+and row-reduced on every call.  It checks the cached terms subspace for
+subspace, over every module a checker builds.  The same file pins the
+corpus reports and the large-prime CLI output, so caching cannot change a
+single evidence row, and checks the batched Module verification and that
+an algebra and its opposite are freed without the cycle collector.
+"""
+
+import gc
+import hashlib
+import json
+import weakref
+
+import numpy as np
+import pytest
+
+from loewy import (
+    Module,
+    a_dual,
+    build_nakayama,
+    dump_spec,
+    f_dual,
+    injective,
+    linear_quiver_algebra,
+    projective,
+    radical_layer,
+    radical_n,
+    regular_module,
+    run_corpus,
+    simple,
+    socle_layer,
+    socle_n,
+    spec_to_algebra,
+)
+from loewy.cli import main
+from loewy.linalg import Subspace, kernel
+
+
+def reference_socle_n(v, n):
+    a = v.algebra
+    rad = a.radical_power(n)
+    if rad.dim == 0 or v.dim == 0:
+        return Subspace.full(v.dim, a.p)
+    mats = np.array([v.act(r) for r in rad.basis], dtype=np.int64)
+    return kernel(mats.transpose(0, 2, 1).reshape(-1, v.dim), a.p)
+
+
+def reference_radical_n(v, n):
+    a = v.algebra
+    if n == 0:
+        return Subspace.full(v.dim, a.p)
+    rad = a.radical_power(n)
+    if rad.dim == 0:
+        return Subspace.zero(v.dim, a.p)
+    rows = np.concatenate([v.act(r) for r in rad.basis])
+    return Subspace.from_rows(rows, v.dim, a.p)
+
+
+def reference_verify(v):
+    """Module._verify one generator at a time: the label of the first
+    generator the action is not multiplicative against, or None."""
+    a, p = v.algebra, v.algebra.p
+    for g in a.generator_indices():
+        prod = np.tensordot(a.table[:, g, :], v.action, axes=([1], [0])) % p
+        if not np.array_equal(prod, (v.action @ v.action[g]) % p):
+            return a.labels[g]
+    return None
+
+
+def _family(a):
+    """Simples, projectives, injectives, the regular module and a_dual(P_i),
+    with every radical and socle layer of each."""
+    k, L = a.num_vertices, a.loewy_length
+    mods = [simple(a, i) for i in range(k)] + [projective(a, i) for i in range(k)]
+    mods += [injective(a, i) for i in range(k)] + [regular_module(a)]
+    mods += [a_dual(projective(a, i)) for i in range(k)]
+    layers = [lay(v, n) for v in mods for lay in (radical_layer, socle_layer)
+              for n in range(1, L + 1)]
+    return mods + layers
+
+
+def _assert_series_match_reference(a):
+    family = _family(a)
+    if a.loewy_length >= 2:
+        assert any(v.dim == 0 for v in family)  # rad_2 of a simple
+    for v in family:
+        for m in (v, f_dual(v)):
+            for n in range(m.algebra.loewy_length + 2):
+                assert socle_n(m, n) == reference_socle_n(m, n)
+                assert radical_n(m, n) == reference_radical_n(m, n)
+                assert socle_n(m, n) is socle_n(m, n)
+                assert radical_n(m, n) is radical_n(m, n)
+        assert f_dual(v) is f_dual(v)
+        assert np.array_equal(f_dual(f_dual(v)).action, v.action)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_series_match_reference_on_nakayama(k, ell):
+    _assert_series_match_reference(build_nakayama(k, ell))
+
+
+def test_series_match_reference_with_relations(corpus0):
+    with_relations = [a for name, a in corpus0 if name.startswith("random") and a.relations]
+    assert len(with_relations) >= 3
+    for a in with_relations[:3]:
+        _assert_series_match_reference(a)
+
+
+# The large-prime benchmark's random-27 (workload seed 1), over the largest
+# prime below 2**25.
+LARGE_SPEC = {
+    "field": {"p": 33554393},
+    "quiver": {
+        "vertices": 2,
+        "arrows": [
+            {"name": "a0", "source": 1, "target": 0},
+            {"name": "a1", "source": 1, "target": 0},
+            {"name": "a2", "source": 1, "target": 1},
+            {"name": "a3", "source": 0, "target": 1},
+        ],
+    },
+    "relations": [
+        [{"coeff": 9723458, "path": ["a2", "a1"]}, {"coeff": 31088404, "path": ["a2", "a0"]}]
+    ],
+    "truncation": 3,
+}
+
+
+def test_series_match_reference_at_large_prime():
+    _assert_series_match_reference(spec_to_algebra(LARGE_SPEC))
+
+
+def test_negative_level_is_rejected():
+    v = projective(build_nakayama(2, 2), 0)
+    for series in (socle_n, radical_n):
+        with pytest.raises(ValueError):
+            series(v, -1)
+
+
+def test_corrupted_arrow_is_named():
+    a = linear_quiver_algebra(3, 3)  # b0: 0 -> 1, b1: 1 -> 2
+    p0 = projective(a, 0)
+    g = a.labels.index("b1")
+    act = p0.action.copy()
+    # Keep e_1 b1 e_2 = b1, so every idempotent still checks out and only the
+    # products ending in b1 break.
+    act[g] = (act[g] + act[1] @ np.ones_like(act[g]) @ act[2]) % a.p
+    assert act[g].any() and not np.array_equal(act[g], p0.action[g])
+    with pytest.raises(ValueError, match="against basis element 'b1'"):
+        Module(a, act)
+
+
+def test_batched_verification_names_the_first_failing_generator():
+    rng = np.random.default_rng(0)
+    algebras = [build_nakayama(3, 2), build_nakayama(2, 3), linear_quiver_algebra(3, 3),
+                spec_to_algebra(LARGE_SPEC)]
+    raised = 0
+    for a in algebras:
+        for v in [projective(a, i) for i in range(a.num_vertices)] + [regular_module(a)]:
+            for g in a.generator_indices()[a.num_vertices:]:
+                act = v.action.copy()
+                r, c = rng.integers(0, v.dim, size=2)
+                act[g, r, c] = (act[g, r, c] + 1) % a.p
+                want = reference_verify(Module(a, act, check=False))
+                if want is None:
+                    Module(a, act)
+                    continue
+                raised += 1
+                with pytest.raises(ValueError, match=f"against basis element '{want}'"):
+                    Module(a, act)
+    assert raised > 0
+
+
+def test_algebra_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        a = build_nakayama(2, 2)
+        opp = a.opposite()
+        assert opp.opposite() is a
+        mods = [projective(a, 0), injective(a, 1), f_dual(simple(a, 0)), simple(opp, 1)]
+        for v in mods:
+            socle_n(v, 1)
+            radical_n(f_dual(v), 1)
+        alive = weakref.ref(a), weakref.ref(opp)
+        del a, opp, mods, v
+        assert [r() for r in alive] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_opposite_rebuilds_a_dropped_parent():
+    opp = build_nakayama(3, 2).opposite()
+    parent = opp.opposite()
+    assert parent.opposite() is opp and opp.opposite() is parent
+    assert np.array_equal(parent.table, build_nakayama(3, 2).table)
+    assert parent.loewy_length == opp.loewy_length
+
+
+# SHA-256 digests of outputs taken before the series were cached.
+CORPUS0_REPORTS_SHA256 = "2104fd9496b16090d4ace2e09934984f09cd0c6b85a68a096e97e3508b19c02f"
+LARGE_CLI_SHA256 = {
+    ("verify", "--check", "all", "--format", "json"):
+        "8dfcab79b473b0b050d14606f6c1ef23e5d5741af55848ab7057ce7c663b3f31",
+    ("table", "--kind", "radical"):
+        "f786dd81ad8260a6d24367556680a421f27c6e1e3c069e1c333985b5f5fd2ca7",
+    ("table", "--kind", "socle"):
+        "a74f5cc8217a1cf199e8a57836cdc03b9ff819cb36391574b4e98ebf641523cd",
+    ("table", "--kind", "cartan"):
+        "062c825d6566f4a678db7afd29ea8ced8ede4211a6430646dd9b5d0dafa175c8",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_corpus_reports_are_pinned(corpus0):
+    text = json.dumps([r.to_dict() for r in run_corpus(corpus0)], sort_keys=True)
+    assert _sha256(text) == CORPUS0_REPORTS_SHA256
+
+
+def test_large_prime_cli_output_is_pinned(tmp_path, capsys):
+    path = tmp_path / "large.json"
+    dump_spec(LARGE_SPEC, path)
+    for (command, *rest), digest in LARGE_CLI_SHA256.items():
+        code = main([command, "--algebra", str(path), *rest])
+        assert code == (3 if command == "verify" else 0)
+        assert _sha256(capsys.readouterr().out) == digest, (command, rest)
