@@ -25,10 +25,9 @@ import sys
 import numpy as np
 
 from .algebra import Algebra
-from .linalg import rank
 from .modules import Module, injective, projective, regular_module, simple
 from .nakayama import build_nakayama, nakayama_spec
-from .series import layer_table, radical_layer, socle_layer
+from .series import layer_table
 from .specfile import SpecFileError, dump_spec, load_spec, spec_text, spec_to_algebra
 from .verify import ALL_CHECKS, merge_reports
 
@@ -80,28 +79,16 @@ def _module_from_selector(a: Algebra, selector: str) -> Module:
     return simple(a, i)
 
 
-def _layer_line(layer: Module) -> str:
-    # The layer is semisimple, so the rank of each idempotent's action
-    # counts the copies of the corresponding simple.
-    p = layer.algebra.p
-    labels = []
-    for j in range(layer.algebra.num_vertices):
-        labels.extend([f"S_{j}"] * rank(layer.action[j], p))
-    return " + ".join(labels)
-
-
 def _cmd_show(args) -> int:
     a = _algebra_from_args(args)
     v = _module_from_selector(a, args.module)
-    L = a.loewy_length
-    if args.series == "radical":
-        layers = [radical_layer(v, n) for n in range(1, L + 1)]
-    else:
+    layers = layer_table([v], args.series).table[0].T  # one row of multiplicities per layer
+    if args.series == "socle":
         # print the socle series top of the module first, i.e. highest n first
-        layers = [socle_layer(v, n) for n in range(L, 0, -1)]
-    for layer in layers:
-        if layer.dim:
-            print(_layer_line(layer))
+        layers = layers[::-1]
+    for counts in layers:
+        if counts.any():
+            print(" + ".join(f"S_{j}" for j, m in enumerate(counts) for _ in range(m)))
     return _EXIT_PASS
 
 

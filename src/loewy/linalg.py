@@ -19,12 +19,9 @@ import numpy as np
 __all__ = [
     "PrimeField",
     "Subspace",
-    "as_matrix",
     "rref",
     "rank",
     "kernel",
-    "image",
-    "solve",
     "complement_basis",
 ]
 
@@ -71,14 +68,6 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
-
-
-def as_matrix(entries, p: int) -> np.ndarray:
-    """Coerce to a fresh 2-D int64 array reduced mod p."""
-    m = np.array(entries, dtype=np.int64) % p
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    return m
 
 
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -132,41 +121,6 @@ def kernel(m: np.ndarray, p: int) -> "Subspace":
         for i, c in enumerate(pivots):
             basis[t, c] = (-r[i, f]) % p
     return Subspace.from_rows(basis, ncols, p)
-
-
-def image(m: np.ndarray, p: int) -> "Subspace":
-    """Row space of m as a Subspace of F^ncols."""
-    m = np.asarray(m, dtype=np.int64) % p
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    return Subspace.from_rows(m, m.shape[1], p)
-
-
-def solve(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray | None, "Subspace"]:
-    """Solve a @ x = b over GF(p).
-
-    b may be a vector or a matrix of stacked right-hand sides.  Returns
-    (particular, homogeneous) where particular is one solution (None when
-    the system is inconsistent) and homogeneous is the right null space
-    of a.
-    """
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    single = b.ndim == 1
-    if single:
-        b = b[:, None]
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"shape mismatch: a has {a.shape[0]} rows, b has {b.shape[0]}")
-    ncols = a.shape[1]
-    aug, pivots = rref(np.hstack([a, b]), p)
-    if pivots and pivots[-1] >= ncols:
-        return None, kernel(a, p)
-    x = np.zeros((ncols, b.shape[1]), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = aug[i, ncols:]
-    if single:
-        x = x[:, 0]
-    return x, kernel(a, p)
 
 
 class Subspace:

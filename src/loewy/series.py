@@ -8,10 +8,12 @@ the terms are cached on the Module, keyed by n clipped to the Loewy
 length L (rad^n V = 0 and soc^n V = V for n >= L).  Modules and their
 subspaces are never changed after construction, so layers, capitals,
 socle submodules, the adjunction and the duality maps all read the same
-cached terms.  Layers are explicit subquotient modules that remember
-projection/section coordinate maps into the parent, which makes the
-capital/socle adjunction and the two duality isomorphisms exact matrix
-identities rather than approximate constructions.
+cached terms, and layer_table counts the simples in each layer from
+them as dim(W e_j) without building the layer.  Layers are explicit
+subquotient modules that remember projection/section coordinate maps
+into the parent, which makes the capital/socle adjunction and the two
+duality isomorphisms exact matrix identities rather than approximate
+constructions.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Subspace, kernel
+from .linalg import Subspace, kernel, rank
 from .modules import (
     Module,
     ModuleMap,
     SubquotientModule,
     f_dual,
-    simple,
     subquotient,
 )
 
@@ -242,16 +243,17 @@ def dual_layer_iso(u: Module, n: int) -> tuple[ModuleMap, ModuleMap]:
     if n < 1:
         raise ValueError("layers are indexed from 1")
     du = f_dual(u)
+    p = u.algebra.p
+    # rad^m of the dual is the annihilator of soc^m U; the layer maps below
+    # are well defined exactly because of this.  It is, exactly when it pairs
+    # to zero with soc^m U and has the complementary dimension.
+    for m in (n - 1, n):
+        soc, rad = socle_n(u, m), radical_n(du, m)
+        if soc.dim + rad.dim != u.dim or ((soc.basis @ rad.basis.T) % p).any():
+            raise ValueError("dual radical series does not annihilate the socle series")
     lay = socle_layer(u, n)
     dual_lay = f_dual(lay)
     rad_lay = radical_layer(du, n)
-    p = u.algebra.p
-    # rad^m of the dual is the annihilator of soc^m U; the layer maps below
-    # are well defined exactly because of this.
-    for m in (n - 1, n):
-        ann = kernel(socle_n(u, m).basis, p) if socle_n(u, m).dim else Subspace.full(u.dim, p)
-        if ann != radical_n(du, m):
-            raise ValueError("dual radical series does not annihilate the socle series")
     eta = ModuleMap(dual_lay, rad_lay, (lay.proj.T @ rad_lay.proj) % p)
     xi = ModuleMap(rad_lay, dual_lay, (rad_lay.lift @ lay.lift.T) % p)
     _check_mutually_inverse(eta, xi)
@@ -270,9 +272,12 @@ def _check_mutually_inverse(f: ModuleMap, g: ModuleMap) -> None:
 def layer_table(family: list[Module], kind: str) -> LayerTable:
     """Multiplicity table m[i][j][n-1] of S_j in the n-th layer of family[i].
 
-    Radical kind counts Hom(rad_n family[i], S_j); socle kind counts
-    Hom(S_j, soc_n family[i]).  n runs from 1 to the algebra's Loewy
-    length.
+    n runs from 1 to the algebra's Loewy length.  A layer W/W' of either
+    series is semisimple, and over a basic algebra End(S_j) = F, so
+    dim Hom(W/W', S_j) = dim Hom(S_j, W/W') = dim(W e_j) - dim(W' e_j).
+    Each dim(W e_j) is the rank of W's basis times the action of e_j,
+    read off the cached terms rad^n V (radical kind) or soc^n V (socle
+    kind); no layer module is built.
     """
     _check_kind(kind)
     if not family:
@@ -280,18 +285,12 @@ def layer_table(family: list[Module], kind: str) -> LayerTable:
     a = family[0].algebra
     if any(v.algebra is not a for v in family):
         raise ValueError("family members live over different algebras")
-    from .modules import hom_space  # local to avoid cycle at import time
-
-    L = a.loewy_length
-    k = a.num_vertices
-    simples = [simple(a, j) for j in range(k)]
-    out = np.zeros((len(family), k, L), dtype=np.int64)
-    for i, v in enumerate(family):
-        for n in range(1, L + 1):
-            lay = radical_layer(v, n) if kind == "radical" else socle_layer(v, n)
-            for j in range(k):
-                if kind == "radical":
-                    out[i, j, n - 1] = len(hom_space(lay, simples[j]))
-                else:
-                    out[i, j, n - 1] = len(hom_space(simples[j], lay))
-    return LayerTable(kind, out, L)
+    term = radical_n if kind == "radical" else socle_n
+    p, L = a.p, a.loewy_length
+    dims = np.array([
+        [[rank(term(v, n).basis @ v.action[j], p) for n in range(L + 1)]
+         for j in range(a.num_vertices)]
+        for v in family
+    ], dtype=np.int64)
+    steps = np.diff(dims, axis=2)  # rad^n V shrinks with n, soc^n V grows
+    return LayerTable(kind, -steps if kind == "radical" else steps, L)

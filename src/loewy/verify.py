@@ -4,7 +4,11 @@ Each checker returns a VerificationReport whose checks carry a tri-state
 status: "pass", "fail", or "unknown" when a precondition could not be
 established (a skipped check never counts as passed).  Hom dimensions are
 compared for every vertex pair and every layer index n from 1 to the
-Loewy length of the algebra, which is recorded in the report.
+Loewy length of the algebra, which is recorded in the report.  Between a
+layer and a simple they are layer multiplicities, which layer_table reads
+as dim(W e_j) - dim(W' e_j) on the cached series: layers are semisimple
+and End(S_j) = F for a basic algebra.  The main theorem and the Landrock
+lemma share that sweep and differ only in the dual they apply to P_j.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from .series import (
     capital_n,
     dual_layer_iso,
     dual_socle_capital_iso,
+    layer_table,
     radical_layer,
     radical_n,
-    socle_layer,
     socle_map,
     socle_n,
     socle_submodule,
@@ -103,6 +107,26 @@ def _report(a: Algebra, check: CheckResult, t0: float) -> VerificationReport:
     return VerificationReport(a.describe(), a.loewy_length, [check], time.perf_counter() - t0)
 
 
+def _layer_sweep(a: Algebra, name: str, dual) -> CheckResult:
+    """Compare the three layer tables of the main theorem for the given dual.
+
+    With D = dual(P_j) the rows are (i, j, n, d1, d2, d3): the multiplicity
+    of S_j in rad_n P_i, of S_i in rad_n D (over the opposite), and of S_i
+    in soc_n f_dual(D).
+    """
+    projectives = [projective(a, i) for i in range(a.num_vertices)]
+    duals = [dual(pj) for pj in projectives]
+    d1 = layer_table(projectives, "radical").table
+    d2 = layer_table(duals, "radical").table.transpose(1, 0, 2)
+    d3 = layer_table([f_dual(d) for d in duals], "socle").table.transpose(1, 0, 2)
+    evidence = [
+        (i, j, n + 1, int(d1[i, j, n]), int(d2[i, j, n]), int(d3[i, j, n]))
+        for i, j, n in np.ndindex(d1.shape)
+    ]
+    ok = np.array_equal(d1, d2) and np.array_equal(d2, d3)
+    return CheckResult(name, "pass" if ok else "fail", evidence)
+
+
 def verify_main_theorem(a: Algebra) -> VerificationReport:
     """Dual symmetry and reciprocity of radical layers of the projectives.
 
@@ -112,39 +136,18 @@ def verify_main_theorem(a: Algebra) -> VerificationReport:
         d2 = dim Hom(rad_n(a_dual P_j), f_dual S_i)   (over the opposite)
         d3 = dim Hom(S_i, soc_n(nakayama P_j))
 
-    must agree; evidence rows are (i, j, n, d1, d2, d3).
+    must agree; evidence rows are (i, j, n, d1, d2, d3).  Each is read from
+    layer_table as a layer multiplicity dim(W e_j) - dim(W' e_j): the
+    layers are semisimple and End(S_j) = F, so these equal the Hom
+    dimensions.
     """
     t0 = time.perf_counter()
-    L = a.loewy_length
-    k = a.num_vertices
-    simples = [simple(a, i) for i in range(k)]
-    dual_simples = [f_dual(s) for s in simples]
-    projectives = [projective(a, i) for i in range(k)]
-    rad_layers = {
-        (i, n): radical_layer(projectives[i], n) for i in range(k) for n in range(1, L + 1)
-    }
-    evidence = []
-    ok = True
-    for j in range(k):
-        adual_pj = a_dual(projectives[j])
-        nu_pj = f_dual(adual_pj)
-        for n in range(1, L + 1):
-            dual_rad_layer = radical_layer(adual_pj, n)
-            nu_soc_layer = socle_layer(nu_pj, n)
-            for i in range(k):
-                d1 = len(hom_space(rad_layers[(i, n)], simples[j]))
-                d2 = len(hom_space(dual_rad_layer, dual_simples[i]))
-                d3 = len(hom_space(simples[i], nu_soc_layer))
-                evidence.append((i, j, n, d1, d2, d3))
-                ok = ok and d1 == d2 == d3
-    evidence.sort()
-    status = "pass" if ok else "fail"
-    return _report(a, CheckResult("main-theorem", status, evidence), t0)
+    return _report(a, _layer_sweep(a, "main-theorem", a_dual), t0)
 
 
 def verify_landrock(a: Algebra) -> VerificationReport:
     """The symmetric-algebra specialization: f_dual replaces a_dual and the
-    socle series of P_j itself replaces that of nakayama(P_j).
+    socle series of P_j itself (f_dual twice) replaces that of nakayama(P_j).
 
     Skipped with status "unknown" unless the algebra is symmetric.
     """
@@ -153,29 +156,7 @@ def verify_landrock(a: Algebra) -> VerificationReport:
     if sym.status != "yes":
         note = f"skipped: symmetry status is {sym.status!r}"
         return _report(a, CheckResult("landrock", "unknown", [], note), t0)
-    L = a.loewy_length
-    k = a.num_vertices
-    simples = [simple(a, i) for i in range(k)]
-    dual_simples = [f_dual(s) for s in simples]
-    projectives = [projective(a, i) for i in range(k)]
-    rad_layers = {
-        (i, n): radical_layer(projectives[i], n) for i in range(k) for n in range(1, L + 1)
-    }
-    evidence = []
-    ok = True
-    for j in range(k):
-        dual_pj = f_dual(projectives[j])
-        for n in range(1, L + 1):
-            dual_rad_layer = radical_layer(dual_pj, n)
-            soc_layer_pj = socle_layer(projectives[j], n)
-            for i in range(k):
-                d1 = len(hom_space(rad_layers[(i, n)], simples[j]))
-                d2 = len(hom_space(dual_rad_layer, dual_simples[i]))
-                d3 = len(hom_space(simples[i], soc_layer_pj))
-                evidence.append((i, j, n, d1, d2, d3))
-                ok = ok and d1 == d2 == d3
-    evidence.sort()
-    return _report(a, CheckResult("landrock", "pass" if ok else "fail", evidence), t0)
+    return _report(a, _layer_sweep(a, "landrock", f_dual), t0)
 
 
 def verify_nakayama_identity(a: Algebra, trials: int = 512, seed: int = 0) -> VerificationReport:

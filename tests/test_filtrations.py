@@ -4,15 +4,19 @@ socle_n and radical_n compute each level once per module, with one product
 by a basis of rad^n A, and keep it on the module.  The reference below is
 the direct method: one action matrix per basis element of rad^n A, stacked
 and row-reduced on every call.  It checks the cached terms subspace for
-subspace, over every module a checker builds.  The same file pins the
-corpus reports and the large-prime CLI output, so caching cannot change a
-single evidence row, and checks the batched Module verification and that
-an algebra and its opposite are freed without the cycle collector.
+subspace, over every module a checker builds.  layer_table reads its
+multiplicities off those terms as dim(W e_j); the reference for it counts
+Hom between each layer module and the simples.  The same file pins the
+corpus reports and the large-prime CLI output, so neither can change a
+single evidence row or byte of stdout, checks that counting layers builds
+no layer module, and checks the batched Module verification and that an
+algebra and its opposite are freed without the cycle collector.
 """
 
 import gc
 import hashlib
 import json
+import sys
 import weakref
 
 import numpy as np
@@ -24,7 +28,9 @@ from loewy import (
     build_nakayama,
     dump_spec,
     f_dual,
+    hom_space,
     injective,
+    layer_table,
     linear_quiver_algebra,
     projective,
     radical_layer,
@@ -35,6 +41,8 @@ from loewy import (
     socle_layer,
     socle_n,
     spec_to_algebra,
+    verify_landrock,
+    verify_main_theorem,
 )
 from loewy.cli import main
 from loewy.linalg import Subspace, kernel
@@ -58,6 +66,19 @@ def reference_radical_n(v, n):
         return Subspace.zero(v.dim, a.p)
     rows = np.concatenate([v.act(r) for r in rad.basis])
     return Subspace.from_rows(rows, v.dim, a.p)
+
+
+def reference_layer_table(v, kind):
+    """m[j][n-1] = dim Hom(rad_n V, S_j) or dim Hom(S_j, soc_n V), from the
+    layer modules themselves."""
+    a = v.algebra
+    simples = [simple(a, j) for j in range(a.num_vertices)]
+    out = np.zeros((a.num_vertices, a.loewy_length), dtype=np.int64)
+    for n in range(1, a.loewy_length + 1):
+        lay = radical_layer(v, n) if kind == "radical" else socle_layer(v, n)
+        for j, s in enumerate(simples):
+            out[j, n - 1] = len(hom_space(lay, s) if kind == "radical" else hom_space(s, lay))
+    return out
 
 
 def reference_verify(v):
@@ -94,6 +115,10 @@ def _assert_series_match_reference(a):
                 assert radical_n(m, n) == reference_radical_n(m, n)
                 assert socle_n(m, n) is socle_n(m, n)
                 assert radical_n(m, n) is radical_n(m, n)
+            for kind in ("radical", "socle"):
+                table = layer_table([m], kind)
+                assert table.loewy_length == m.algebra.loewy_length
+                assert np.array_equal(table.table[0], reference_layer_table(m, kind))
         assert f_dual(v) is f_dual(v)
         assert np.array_equal(f_dual(f_dual(v)).action, v.action)
 
@@ -201,7 +226,9 @@ def test_opposite_rebuilds_a_dropped_parent():
     assert parent.loewy_length == opp.loewy_length
 
 
-# SHA-256 digests of outputs taken before the series were cached.
+# SHA-256 digests of outputs taken before the series were cached; those of
+# show, whose layers here hold several simples, before its multiplicities
+# were read off the series instead of the layer modules.
 CORPUS0_REPORTS_SHA256 = "2104fd9496b16090d4ace2e09934984f09cd0c6b85a68a096e97e3508b19c02f"
 LARGE_CLI_SHA256 = {
     ("verify", "--check", "all", "--format", "json"):
@@ -212,6 +239,14 @@ LARGE_CLI_SHA256 = {
         "a74f5cc8217a1cf199e8a57836cdc03b9ff819cb36391574b4e98ebf641523cd",
     ("table", "--kind", "cartan"):
         "062c825d6566f4a678db7afd29ea8ced8ede4211a6430646dd9b5d0dafa175c8",
+    ("show", "--module", "A", "--series", "radical"):
+        "3e4b17289c457937f1d2866b3f882499e260cb531f1dbfd671828dea68a5b414",
+    ("show", "--module", "A", "--series", "socle"):
+        "3e4b17289c457937f1d2866b3f882499e260cb531f1dbfd671828dea68a5b414",
+    ("show", "--module", "P0", "--series", "radical"):
+        "45be7bcac80f2bce7ac52ce18425f481f04468e7303d359d1e5e05dcc95ac3e2",
+    ("show", "--module", "P0", "--series", "socle"):
+        "45be7bcac80f2bce7ac52ce18425f481f04468e7303d359d1e5e05dcc95ac3e2",
 }
 
 
@@ -231,3 +266,50 @@ def test_large_prime_cli_output_is_pinned(tmp_path, capsys):
         code = main([command, "--algebra", str(path), *rest])
         assert code == (3 if command == "verify" else 0)
         assert _sha256(capsys.readouterr().out) == digest, (command, rest)
+
+
+def test_layer_counts_build_no_layer_module(tmp_path, monkeypatch, capsys):
+    """layer_table, both layer checkers and show count multiplicities on the
+    cached series: no hom_space and no subquotient call, apart from those
+    inside projective and a_dual, which build their modules that way."""
+    import loewy.modules as modules
+
+    allowed = {modules.projective.__code__, modules.a_dual.__code__}
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in allowed:
+                frame = frame.f_back
+            if frame is None:
+                calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("hom_space", "subquotient"):
+        original = getattr(modules, name)
+        wrapper = counting(original)
+        for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "loewy"]:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+
+    symmetric, other = build_nakayama(2, 2), spec_to_algebra(LARGE_SPEC)
+    radical_layer(projective(symmetric, 0), 1)
+    assert calls == ["subquotient"]  # the wrappers see a layer being built
+    calls.clear()
+
+    path = tmp_path / "large.json"
+    dump_spec(LARGE_SPEC, path)
+    for a in (symmetric, other):
+        family = [projective(a, i) for i in range(a.num_vertices)] + [regular_module(a)]
+        for kind in ("radical", "socle"):
+            layer_table(family, kind)
+        assert verify_main_theorem(a).status == "pass"
+        assert verify_landrock(a).status == ("pass" if a is symmetric else "unknown")
+    for source in (["--nakayama", "2,2"], ["--algebra", str(path)]):
+        for module in ("A", "P0", "I1", "S0"):
+            for series in ("radical", "socle"):
+                assert main(["show", *source, "--module", module, "--series", series]) == 0
+    assert capsys.readouterr().out
+    assert calls == []

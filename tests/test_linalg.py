@@ -4,12 +4,9 @@ import pytest
 from loewy.linalg import (
     PrimeField,
     Subspace,
-    as_matrix,
-    image,
     kernel,
     rank,
     rref,
-    solve,
 )
 
 P = 5
@@ -71,35 +68,6 @@ def test_kernel_vectors_annihilate():
         assert not ((m @ row) % P).any()
 
 
-def test_solve_consistent_system():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        a = rng.integers(0, P, size=(5, 4))
-        x0 = rng.integers(0, P, size=4)
-        b = (a @ x0) % P
-        x, hom = solve(a, b, P)
-        assert x is not None
-        assert np.array_equal((a @ x) % P, b)
-        # every homogeneous shift is also a solution
-        for h in hom.basis:
-            assert np.array_equal((a @ ((x + h) % P)) % P, b)
-
-
-def test_solve_inconsistent_system():
-    a = np.array([[1, 0], [1, 0]])
-    b = np.array([1, 2])
-    x, hom = solve(a, b, P)
-    assert x is None
-    assert hom.dim == 1
-
-
-def test_solve_matrix_rhs():
-    a = np.array([[1, 1], [0, 1]])
-    rhs = np.array([[1, 2], [3, 4]])
-    x, _ = solve(a, rhs, P)
-    assert np.array_equal((a @ x) % P, rhs)
-
-
 def test_subspace_membership_and_reduce():
     s = Subspace.from_rows(np.array([[1, 2, 0], [0, 0, 1]]), 3, P)
     assert s.dim == 2
@@ -146,13 +114,6 @@ def test_quotient_maps_are_a_retraction():
     assert not ((s.basis @ proj) % P).any()
 
 
-def test_image_is_row_space():
-    m = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 0]])
-    im = image(m, P)
-    assert im.dim == 2
-    assert im.contains_vector(np.array([1, 0, 3]))
-
-
 def test_zero_and_full():
     z = Subspace.zero(4, P)
     f = Subspace.full(4, P)
@@ -177,11 +138,6 @@ def test_prime_field_rejects_composites():
     f = PrimeField(7)
     for a in range(1, 7):
         assert f.inv(a) * a % 7 == 1
-
-
-def test_as_matrix_validates_shape():
-    with pytest.raises(ValueError):
-        as_matrix([1, 2, 3], P)
 
 
 def test_incompatible_subspaces_rejected():

@@ -187,6 +187,31 @@ def test_dual_layer_iso(sample):
             )
 
 
+@pytest.mark.parametrize("wrong", ["same dimension", "smaller"])
+def test_dual_layer_iso_rejects_a_wrong_dual_radical(n22, monkeypatch, wrong):
+    import loewy.series as series
+
+    u = projective(n22, 0)  # uniserial of dimension 3
+    du = f_dual(u)
+    real = series.radical_n
+    true_rad = real(du, 1)
+    assert 0 < true_rad.dim < u.dim
+    if wrong == "same dimension":
+        # A coordinate subspace of the same dimension as rad^1(DU) but
+        # different from it, so it cannot annihilate soc^1 U.
+        d, r = u.dim, true_rad.dim
+        windows = [Subspace.from_rows(np.eye(d, dtype=np.int64)[s:s + r], d, P) for s in (0, 1)]
+        fake = next(w for w in windows if w != true_rad)
+    else:
+        # rad^2(DU) annihilates soc^1 U too, but is too small to be all of it.
+        fake = real(du, 2)
+        assert fake.dim < true_rad.dim
+    monkeypatch.setattr(series, "radical_n",
+                        lambda v, m: fake if v is du and m == 1 else real(v, m))
+    with pytest.raises(ValueError, match="dual radical series does not annihilate"):
+        dual_layer_iso(u, 1)
+
+
 def test_layer_table_of_linear_quiver(a3):
     t = layer_table([projective(a3, i) for i in range(3)], "radical")
     assert t.cartan().tolist() == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
