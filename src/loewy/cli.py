@@ -118,7 +118,7 @@ def _cmd_verify(args) -> int:
     reports = []
     for name in names:
         fn = ALL_CHECKS[name]
-        reports.append(fn(a) if name in ("main", "landrock", "duality") else fn(a, seed=seed))
+        reports.append(fn(a, seed=seed) if name == "adjunction" else fn(a))
     report = merge_reports(reports)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=None,
-        help="randomness seed (default: LOEWY_SEED environment variable, else 0)",
+        help="seed of the adjunction check's sampling "
+        "(default: LOEWY_SEED environment variable, else 0)",
     )
     verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.set_defaults(fn=_cmd_verify)

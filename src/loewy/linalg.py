@@ -57,9 +57,6 @@ class PrimeField:
             raise ZeroDivisionError("0 is not invertible")
         return pow(a, self.p - 2, self.p)
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 

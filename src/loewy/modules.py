@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import Algebra, _nonvanishing_combination
 from .linalg import Subspace, complement_basis, kernel, rref
 
 __all__ = [
@@ -41,10 +41,6 @@ __all__ = [
     "quotient_module",
     "find_isomorphism",
 ]
-
-# find_isomorphism tries every combination of a Hom basis up to this many.
-EXHAUSTIVE_SEARCH_LIMIT = 4096
-
 
 class Module:
     """A right module given by its action matrices on a fixed basis."""
@@ -332,26 +328,37 @@ def nakayama(v: Module) -> Module:
 
 @dataclass(eq=False)
 class IsoSearchResult:
-    """Tri-state outcome of an isomorphism search: yes / no / unknown."""
+    """Tri-state outcome of an isomorphism search: yes / no / unknown.
+
+    An "unknown" states its reason in note."""
 
     status: str
     witness: ModuleMap | None = None
+    note: str = ""
 
 
-def find_isomorphism(
-    u: Module,
-    v: Module,
-    trials: int = 512,
-    seed: int = 0,
-    exhaustive_limit: int = EXHAUSTIVE_SEARCH_LIMIT,
-) -> IsoSearchResult:
-    """Look for an isomorphism u -> v inside Hom(u, v).
+def find_isomorphism(u: Module, v: Module, seed: int = 0) -> IsoSearchResult:
+    """Decide whether u and v are isomorphic, with an isomorphism as witness.
 
-    Basis elements are tried first, then every combination when the search
-    space has at most exhaustive_limit elements (making "no" definitive),
-    otherwise `trials` seeded random combinations (failure then reports
-    "unknown").
+    A map f: u -> v between modules of the same dimension is an isomorphism
+    exactly when it is onto, which by Nakayama's lemma holds exactly when
+    it induces an isomorphism of the tops u/rad u -> v/rad v.  The basis of
+    Hom(u, v) is scanned first.  Then the answer is "no" when the tops or
+    the socles differ.  When no simple repeats in the top, the induced map
+    is one scalar lambda_j(f) per simple S_j of the top, linear in f, and an
+    isomorphism exists exactly when some combination of the Hom basis makes
+    every lambda_j nonzero, which algebra._nonvanishing_combination decides.
+    When the socle is multiplicity-free instead, the same is done for the
+    dual maps f_dual(v) -> f_dual(u), as the top of f_dual(v) is the dual
+    of soc v.  When both the top and the socle repeat a simple the answer
+    is "unknown", with the reason in its note: that case needs a
+    Krull-Schmidt splitting (Brooksbank-Luks, "Testing isomorphism of
+    modules", J. Algebra 320, 2008).  Nothing is drawn at random.
+
+    seed is accepted for compatibility and has no effect.
     """
+    from .series import layer_table  # series builds on this module
+
     if u.algebra is not v.algebra:
         raise ValueError("modules live over different algebras")
     p = u.algebra.p
@@ -360,28 +367,54 @@ def find_isomorphism(
     if u.dim == 0:
         return IsoSearchResult("yes", ModuleMap(u, v, np.zeros((0, 0), dtype=np.int64)))
     maps = hom_space(u, v)
-    m = len(maps)
-    if m == 0:
+    if not maps:
         return IsoSearchResult("no")
     for f in maps:
         if f.is_isomorphism():
             return IsoSearchResult("yes", f)
     stacked = np.array([f.matrix for f in maps], dtype=np.int64)
-    if p**m <= exhaustive_limit:
-        for coeffs in np.ndindex(*([p] * m)):
-            c = np.array(coeffs, dtype=np.int64)
-            if not c.any():
-                continue
-            mat = np.tensordot(c, stacked, axes=(0, 0)) % p
-            if len(rref(mat, p)[1]) == u.dim:
-                return IsoSearchResult("yes", ModuleMap(u, v, mat))
+    tops = layer_table([u, v], "radical").table[:, :, 0]
+    if not np.array_equal(tops[0], tops[1]):
         return IsoSearchResult("no")
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        c = rng.integers(0, p, size=m).astype(np.int64)
-        if not c.any():
-            continue
-        mat = np.tensordot(c, stacked, axes=(0, 0)) % p
-        if len(rref(mat, p)[1]) == u.dim:
-            return IsoSearchResult("yes", ModuleMap(u, v, mat))
-    return IsoSearchResult("unknown")
+    if tops.max() <= 1:
+        phi = _top_scalars(stacked, u, v)
+    else:
+        socles = layer_table([u, v], "socle").table[:, :, 0]
+        if not np.array_equal(socles[0], socles[1]):
+            return IsoSearchResult("no")
+        if socles.max() > 1:
+            return IsoSearchResult("unknown", note="the top and the socle both repeat a simple")
+        # f_dual_map(f) has the matrix f.matrix.T.
+        phi = _top_scalars(stacked.transpose(0, 2, 1), f_dual(v), f_dual(u))
+    if not phi.any(axis=0).all():
+        return IsoSearchResult("no")
+    c = _nonvanishing_combination(phi, p)
+    if c is None:
+        return IsoSearchResult("no")
+    witness = ModuleMap(u, v, np.tensordot(c, stacked, axes=(0, 0)) % p)
+    if not witness.is_isomorphism():
+        raise RuntimeError("the combination found does not induce an isomorphism of the tops")
+    return IsoSearchResult("yes", witness)
+
+
+def _top_scalars(mats: np.ndarray, u: Module, v: Module) -> np.ndarray:
+    """phi[b, j] = lambda_j(mats[b]) up to a nonzero factor per column.
+
+    mats is a stack of maps u -> v, and u and v have the same
+    multiplicity-free top.  For each simple S_j of the top, x_j in u e_j
+    lies outside rad u, and the images of v e_j modulo rad v form a line;
+    lambda_j(f) is the coordinate of x_j f modulo rad v on that line.
+    """
+    from .series import radical_n  # series builds on this module
+
+    p = u.algebra.p
+    rad_u, rad_v = radical_n(u, 1), radical_n(v, 1)
+    xs, cols = [], []
+    for eu, ev in zip(u._vertex_rows, v._vertex_rows):
+        outside = np.nonzero(rad_u.reduce(eu.basis).any(axis=1))[0]
+        if outside.size:
+            xs.append(eu.basis[outside[0]])
+            cols.append(np.argwhere(rad_v.reduce(ev.basis))[0, 1])
+    images = (np.array(xs) @ mats) % p  # (len(mats), len(xs), v.dim)
+    reduced = rad_v.reduce(images.reshape(-1, v.dim)).reshape(images.shape)
+    return reduced[:, np.arange(len(xs)), cols]

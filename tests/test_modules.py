@@ -1,16 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from loewy import (
+    Arrow,
     Module,
     ModuleMap,
+    Quiver,
     a_dual,
     build_nakayama,
+    build_path_algebra,
     f_dual,
     f_dual_map,
     find_isomorphism,
     hom_space,
     injective,
+    layer_table,
     nakayama,
     projective,
     quotient_module,
@@ -18,9 +24,10 @@ from loewy import (
     simple,
     submodule,
 )
-from loewy.linalg import Subspace, rank
+from loewy.linalg import Subspace, rank, rref
 
 P = 5
+LARGE_P = 33554393
 
 
 def _direct_sum(u, v):
@@ -197,7 +204,7 @@ def test_find_isomorphism_permuted_sum(n32):
 def test_find_isomorphism_distinguishes_multiplicity(n32):
     s0, s1 = simple(n32, 0), simple(n32, 1)
     r = find_isomorphism(_direct_sum(s0, s0), _direct_sum(s0, s1))
-    assert r.status == "no"  # same dimension, exhaustive search, definitive
+    assert r.status == "no"  # same dimension, different tops
 
 
 def test_find_isomorphism_dimension_mismatch(n32):
@@ -210,3 +217,115 @@ def test_find_isomorphism_nonisomorphic_projectives():
     alg = build_nakayama(2, 1)
     r = find_isomorphism(projective(alg, 0), projective(alg, 1))
     assert r.status == "no"
+
+
+def test_find_isomorphism_exact_at_large_prime():
+    alg = build_nakayama(2, 2, LARGE_P)
+    p0, p1 = projective(alg, 0), projective(alg, 1)
+    assert find_isomorphism(p0, p1).status == "no"  # different tops
+    reg = regular_module(alg)
+    for u, v in ((nakayama(reg), reg), (_direct_sum(p0, p1), _direct_sum(p1, p0))):
+        r = find_isomorphism(u, v)
+        assert r.status == "yes"
+        assert r.witness.source is u and r.witness.target is v
+        assert r.witness.is_isomorphism()
+
+
+def reference_isomorphism(u, v):
+    """"yes"/"no" by trying every combination of the basis of Hom(u, v): the
+    search find_isomorphism replaced, definitive but exponential in the
+    dimension of the Hom space."""
+    if u.dim != v.dim:
+        return "no"
+    if u.dim == 0:
+        return "yes"
+    p = u.algebra.p
+    maps = hom_space(u, v)
+    stacked = np.array([f.matrix for f in maps], dtype=np.int64).reshape(-1, u.dim, v.dim)
+    for coeffs in np.ndindex(*([p] * len(maps))):
+        c = np.array(coeffs, dtype=np.int64)
+        if c.any() and len(rref(np.tensordot(c, stacked, axes=(0, 0)) % p, p)[1]) == u.dim:
+            return "yes"
+    return "no"
+
+
+def _iso_family(a):
+    """Modules that are and are not isomorphic in many ways, indices mod k."""
+    k = a.num_vertices
+    ps = [projective(a, i) for i in range(k)]
+    ss = [simple(a, i) for i in range(k)]
+    reg = regular_module(a)
+    family = [(f"P{i}", m) for i, m in enumerate(ps)]
+    family += [(f"I{i}", injective(a, i)) for i in range(k)]
+    family += [(f"S{i}", m) for i, m in enumerate(ss)]
+    family += [(f"nu(P{i})", nakayama(m)) for i, m in enumerate(ps)]
+    family += [("A", reg), ("nu(A)", nakayama(reg))]
+    family += [(f"S{i}+S{j}", _direct_sum(ss[i], ss[j]))
+               for i in range(k) for j in range(i, k)]
+    family += [("P0+P1", _direct_sum(ps[0], ps[1 % k])),
+               ("P0+I1", _direct_sum(ps[0], injective(a, 1 % k))),
+               ("P0+S0", _direct_sum(ps[0], ss[0])),
+               ("S0+P0", _direct_sum(ss[0], ps[0]))]
+    return family
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("k, ell", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_find_isomorphism_matches_enumeration(k, ell, p):
+    # A "yes" is proved by its witness; a "no" must match the enumeration.
+    # At p = 2 the enumeration is cheap enough for the undecided pairs too,
+    # and answers "yes" on each: the case that needs a Krull-Schmidt split.
+    alg = build_nakayama(k, ell, p)
+    for (lu, u), (lv, v) in itertools.product(_iso_family(alg), repeat=2):
+        if u.dim != v.dim:
+            continue
+        r = find_isomorphism(u, v)
+        if r.status == "yes":
+            assert r.witness.source is u and r.witness.target is v
+            assert r.witness.is_isomorphism(), (lu, lv)
+        elif r.status == "no":
+            assert reference_isomorphism(u, v) == "no", (lu, lv)
+        else:
+            assert r.status == "unknown" and r.note and r.witness is None
+            tops = layer_table([u, v], "radical").table[:, :, 0]
+            socles = layer_table([u, v], "socle").table[:, :, 0]
+            assert tops.max(axis=1).min() > 1 and socles.max(axis=1).min() > 1, (lu, lv)
+            if p == 2:
+                assert reference_isomorphism(u, v) == "yes", (lu, lv)
+
+
+def _kronecker_module(alg, t):
+    """The two-dimensional module F -> F of the Kronecker quiver on which the
+    arrows act as 1 and t: top S_0, socle S_1, pairwise non-isomorphic."""
+    action = np.zeros((alg.dim, 2, 2), dtype=np.int64)
+    action[0, 0, 0] = action[1, 1, 1] = action[2, 0, 1] = 1
+    action[3, 0, 1] = t
+    return Module(alg, action)
+
+
+def test_find_isomorphism_over_the_kronecker_quiver():
+    # Non-uniserial modules: maps that kill the top, tops that repeat while
+    # the socle does not (decided on the duals), and distinct modules whose
+    # top and socle both repeat (undecided, with a note).
+    alg = build_path_algebra(Quiver(2, [Arrow("a", 0, 1), Arrow("b", 0, 1)]), [], 2, P)
+    m0, m1, m2 = (_kronecker_module(alg, t) for t in range(3))
+    s0, s1 = simple(alg, 0), simple(alg, 1)
+    cases = [
+        (m0, m1, "no"),  # Hom = 0
+        (_direct_sum(m0, s1), _direct_sum(m1, s1), "no"),  # top S0 + S1, every map kills S0
+        (_direct_sum(m0, s1), _direct_sum(s1, m0), "yes"),
+        (_direct_sum(m0, s0), _direct_sum(m1, s0), "no"),  # socle S0 + S1, on the duals
+        (_direct_sum(m0, s0), _direct_sum(s0, m0), "yes"),
+        (_direct_sum(m0, m1), _direct_sum(projective(alg, 0), s0), "no"),  # socles differ
+        (_direct_sum(m0, m1), _direct_sum(m0, m2), "unknown"),
+        (_direct_sum(m0, m1), _direct_sum(m1, m0), "unknown"),
+    ]
+    for u, v, expected in cases:
+        r = find_isomorphism(u, v)
+        assert r.status == expected
+        if expected == "yes":
+            assert r.witness.is_isomorphism()
+        elif expected == "no":
+            assert reference_isomorphism(u, v) == "no"
+        else:
+            assert r.note == "the top and the socle both repeat a simple"

@@ -1,5 +1,6 @@
 from loewy import (
     CheckResult,
+    IsoSearchResult,
     VerificationReport,
     build_nakayama,
     linear_quiver_algebra,
@@ -11,6 +12,7 @@ from loewy import (
     verify_main_theorem,
     verify_nakayama_identity,
 )
+from loewy import verify as verify_module
 
 
 def test_main_theorem_on_cyclic_and_linear(n32, a3):
@@ -45,6 +47,16 @@ def test_landrock_on_symmetric(n22):
 def test_nakayama_identity(n22, n32):
     assert verify_nakayama_identity(n22).status == "pass"
     assert verify_nakayama_identity(n32).status == "unknown"
+
+
+def test_nakayama_identity_states_why_it_is_unknown(n22, monkeypatch):
+    notes = iter(["first reason", "second reason"])
+    monkeypatch.setattr(verify_module, "find_isomorphism",
+                        lambda u, v: IsoSearchResult("unknown", note=next(notes)))
+    check = verify_nakayama_identity(n22).checks[0]
+    assert check.status == "unknown"
+    assert check.note == "first reason"
+    assert [row[2] for row in check.evidence] == ["unknown", "unknown"]
 
 
 def test_adjunction_counts(n32):
