@@ -303,6 +303,10 @@ class Algebra:
         # Set on an opposite: a weak link back to the algebra it was built
         # from, so the pair forms no reference cycle.
         self._opp_of: "weakref.ref[Algebra] | None" = None
+        # The regular, simple, projective and injective modules, filled by
+        # loewy.modules.  Held weakly: each module links to its algebra, so
+        # a strong cache would form a reference cycle.
+        self._standard_modules: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
         if self.table.shape != (self.dim, self.dim, self.dim):
             raise ValueError(f"structure table has shape {self.table.shape}")
@@ -446,6 +450,7 @@ class Algebra:
             opp.loewy_length = self.loewy_length
             opp._opp = None
             opp._opp_of = weakref.ref(self)
+            opp._standard_modules = weakref.WeakValueDictionary()
             self._opp = opp
         return self._opp
 

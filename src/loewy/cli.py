@@ -17,6 +17,7 @@ identical output.  Exit codes: 0 all checks passed, 1 some check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -29,7 +30,7 @@ from .modules import Module, injective, projective, regular_module, simple
 from .nakayama import build_nakayama, nakayama_spec
 from .series import layer_table
 from .specfile import SpecFileError, dump_spec, load_spec, spec_text, spec_to_algebra
-from .verify import ALL_CHECKS, merge_reports
+from .verify import ALL_CHECKS, _run_checks
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -115,11 +116,7 @@ def _cmd_verify(args) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("LOEWY_SEED", "0"))
-    reports = []
-    for name in names:
-        fn = ALL_CHECKS[name]
-        reports.append(fn(a, seed=seed) if name == "adjunction" else fn(a))
-    report = merge_reports(reports)
+    report = _run_checks(a, names, seed)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -190,9 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one parser per process; build_parser returns a fresh one.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (SpecFileError, ValueError) as exc:

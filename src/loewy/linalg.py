@@ -124,7 +124,9 @@ class Subspace:
     """A subspace of F^ambient held as a reduced row-echelon basis."""
 
     def __init__(self, basis: np.ndarray, ambient: int, p: int, pivots: list[int]):
-        # Internal constructor; use from_rows/zero/full.
+        # Internal constructor; use from_rows/zero/full.  The basis is
+        # read-only: subspaces are hashed by it and shared through caches.
+        basis.flags.writeable = False
         self.basis = basis
         self.ambient = ambient
         self.p = p

@@ -9,6 +9,16 @@ The two duality functors both land over the opposite algebra: f_dual is
 the linear dual (transposed actions) and a_dual is Hom into the regular
 module with the action induced by left multiplication.  Their composite
 is the Nakayama functor.
+
+A module never changes after construction: its action matrices, and the
+lift and proj of a subquotient, are read-only arrays.  What is derived
+from a module is therefore computed once and shared.  The standard
+modules of an algebra are kept on it weakly, so regular_module,
+projective, injective and simple return the same object for as long as
+some caller holds it.  Each module keeps its f_dual and a_dual, and
+series.py keeps the data of its layers, capitals and socle submodules on
+it.  None of these caches points back at its owner, so an algebra and
+every module built over it are freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ __all__ = [
 ]
 
 class Module:
-    """A right module given by its action matrices on a fixed basis."""
+    """A right module given by its read-only action matrices on a fixed basis."""
 
     def __init__(self, algebra: Algebra, action: np.ndarray, check: bool = True):
         self.algebra = algebra
@@ -52,11 +62,16 @@ class Module:
                 or self.action.shape[1] != self.action.shape[2]:
             raise ValueError(f"action tensor has shape {self.action.shape}")
         self.dim = self.action.shape[1]
+        self.action.flags.writeable = False
         # rad^n V and soc^n V by level n, filled by series.radical_n and
-        # series.socle_n, and the linear dual, filled by f_dual.
+        # series.socle_n; the verified action, lift and proj of the
+        # subquotient of each pair of those terms, filled by series; and
+        # the two duals, filled by f_dual and a_dual.
         self._radicals: dict[int, Subspace] = {}
         self._socles: dict[int, Subspace] = {}
+        self._subquotients: dict[tuple[Subspace, Subspace], tuple] = {}
         self._f_dual: Module | None = None
+        self._a_dual: ADualModule | None = None
         if check:
             self._verify()
 
@@ -106,7 +121,7 @@ class SubquotientModule(Module):
 
     lift (dim x parent.dim) sends coordinates to representatives inside the
     parent; proj (parent.dim x dim) reduces modulo bot and extracts
-    coordinates, and lift @ proj is the identity.
+    coordinates, and lift @ proj is the identity.  Both are read-only.
     """
 
     def __init__(self, algebra, action, parent: Module, top: Subspace, bot: Subspace,
@@ -117,6 +132,7 @@ class SubquotientModule(Module):
         self.bot = bot
         self.lift = lift
         self.proj = proj
+        lift.flags.writeable = proj.flags.writeable = False
 
 
 class ModuleMap:
@@ -158,32 +174,47 @@ class ModuleMap:
 
 
 def regular_module(a: Algebra) -> Module:
-    """The algebra as a right module over itself."""
-    return Module(a, a.table.transpose(1, 0, 2).copy(), check=False)
+    """The algebra as a right module over itself, shared while held."""
+    v = a._standard_modules.get(("A", 0))
+    if v is None:
+        v = Module(a, a.table.transpose(1, 0, 2), check=False)
+        a._standard_modules[("A", 0)] = v
+    return v
 
 
 def simple(a: Algebra, i: int) -> Module:
-    """The simple module S_i concentrated at vertex i."""
+    """The simple module S_i concentrated at vertex i, shared while held."""
     if not (0 <= i < a.num_vertices):
         raise ValueError(f"vertex index {i} out of range")
-    action = np.zeros((a.dim, 1, 1), dtype=np.int64)
-    action[i, 0, 0] = 1
-    return Module(a, action)
+    v = a._standard_modules.get(("S", i))
+    if v is None:
+        action = np.zeros((a.dim, 1, 1), dtype=np.int64)
+        action[i, 0, 0] = 1
+        v = Module(a, action)
+        a._standard_modules[("S", i)] = v
+    return v
 
 
 def subquotient(v: Module, top: Subspace, bot: Subspace) -> SubquotientModule:
-    """The module top/bot for invariant subspaces bot <= top of v."""
+    """The module top/bot for invariant subspaces bot <= top of v.
+
+    Invariance is tested against the idempotents and arrows only: their
+    products span A, so this is exact when the action of v is
+    multiplicative.  Module._verify checks that on construction; a parent
+    built with check=False must be multiplicative by construction, as the
+    regular module, f_dual of a module and the series quotients rewrapped
+    from verified data are."""
     p, d = v.algebra.p, v.dim
+    generators = v.action[v.algebra.generator_indices()]
     for w in (top, bot):
         if w.ambient != d or w.p != p:
             raise ValueError("subspace does not live in the module's coordinate space")
-        moved = (w.basis @ v.action) % p  # (dimA, w.dim, d)
+        moved = (w.basis @ generators) % p  # (generators, w.dim, d)
         if w.dim and moved.size and w.reduce(moved.reshape(-1, d)).any():
             raise ValueError("subspace is not invariant under the algebra action")
-    if not top.contains(bot):
-        raise ValueError("subquotient requires bot <= top")
-    lift = complement_basis(top, bot)
-    _, piv_c = rref(lift, p)
+    lift = complement_basis(top, bot)  # raises unless bot <= top
+    # lift is in reduced echelon form: each row's first nonzero is its pivot.
+    piv_c = [int(np.flatnonzero(row)[0]) for row in lift]
     reducer = np.eye(d, dtype=np.int64)
     for j, pc in enumerate(bot.pivots):
         reducer[pc] = (reducer[pc] - bot.basis[j]) % p
@@ -201,17 +232,26 @@ def quotient_module(v: Module, w: Subspace) -> SubquotientModule:
 
 
 def projective(a: Algebra, i: int) -> SubquotientModule:
-    """The projective P_i = e_i A as a submodule of the regular module."""
+    """The projective P_i = e_i A as a submodule of the regular module,
+    shared while held."""
     if not (0 <= i < a.num_vertices):
         raise ValueError(f"vertex index {i} out of range")
-    reg = regular_module(a)
-    span = Subspace.from_rows(a.table[i] % a.p, a.dim, a.p)
-    return submodule(reg, span)
+    v = a._standard_modules.get(("P", i))
+    if v is None:
+        span = Subspace.from_rows(a.table[i] % a.p, a.dim, a.p)
+        v = submodule(regular_module(a), span)
+        a._standard_modules[("P", i)] = v
+    return v
 
 
 def injective(a: Algebra, i: int) -> Module:
-    """The injective I_i, the linear dual of the opposite projective at i."""
-    return f_dual(projective(a.opposite(), i))
+    """The injective I_i, the linear dual of the opposite projective at i,
+    shared while held."""
+    v = a._standard_modules.get(("I", i))
+    if v is None:
+        v = f_dual(projective(a.opposite(), i))
+        a._standard_modules[("I", i)] = v
+    return v
 
 
 def f_dual(v: Module) -> Module:
@@ -287,38 +327,43 @@ def hom_space(u: Module, v: Module) -> list[ModuleMap]:
 
 
 class ADualModule(Module):
-    """Hom(v, regular) over the opposite algebra, with its defining hom basis."""
-
-    def __init__(self, algebra, action, hom_basis: list[ModuleMap], check: bool = True):
-        super().__init__(algebra, action, check=check)
-        self.hom_basis = hom_basis
+    """Hom(v, regular) over the opposite algebra.  Coordinate c stands for
+    the c-th map of the basis hom_space(v, regular_module(A))."""
 
 
 def a_dual(v: Module) -> ADualModule:
     """Hom_A(v, A) as a right module over the opposite algebra.
 
     The underlying space is hom_space(v, regular); the opposite action
-    post-composes a homomorphism with left multiplication.
+    post-composes a homomorphism with left multiplication.  The dual is
+    built once per module and cached on it, as f_dual is.
     """
+    if v._a_dual is None:
+        v._a_dual = _build_a_dual(v)
+    return v._a_dual
+
+
+def _build_a_dual(v: Module) -> ADualModule:
     a = v.algebra
     p = a.p
     maps = hom_space(v, regular_module(a))
     m = len(maps)
     if m == 0:
-        return ADualModule(a.opposite(), np.zeros((a.dim, 0, 0), dtype=np.int64), [])
-    flat = np.array([f.matrix.reshape(-1) for f in maps], dtype=np.int64).reshape(m, v.dim * a.dim)
+        return ADualModule(a.opposite(), np.zeros((a.dim, 0, 0), dtype=np.int64))
+    stacked = np.array([f.matrix for f in maps], dtype=np.int64)  # (m, v.dim, a.dim)
+    flat = stacked.reshape(m, v.dim * a.dim)
     flat_rref, piv = rref(flat, p)
     if not np.array_equal(flat_rref[:m], flat) or len(piv) != m:
         raise ValueError("hom basis is not in reduced echelon position")
     action = np.zeros((a.dim, m, m), dtype=np.int64)
     for c in range(a.dim):
-        left = a.table[c]  # matrix of z -> basis_c * z on the regular module
-        moved = np.array([(f.matrix @ left) % p for f in maps], dtype=np.int64).reshape(m, -1)
-        coords = moved[:, piv] if m else moved[:, :0]
+        # a.table[c] is the matrix of z -> basis_c * z on the regular module.
+        moved = ((stacked @ a.table[c]) % p).reshape(m, -1)
+        coords = moved[:, piv]
         if not np.array_equal((coords @ flat) % p, moved):
             raise ValueError("left multiplication does not preserve the hom space")
         action[c] = coords
-    return ADualModule(a.opposite(), action, maps)
+    return ADualModule(a.opposite(), action)
 
 
 def nakayama(v: Module) -> Module:

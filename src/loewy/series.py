@@ -14,6 +14,14 @@ subquotient modules that remember projection/section coordinate maps
 into the parent, which makes the capital/socle adjunction and the two
 duality isomorphisms exact matrix identities rather than approximate
 constructions.
+
+Layers, capitals and socle submodules are quotients W/W' of two terms
+of one series, and each pair of terms is built and verified by
+subquotient once per module, whichever series and levels name it.  The
+module keeps only the verified read-only data (action, lift, proj) keyed
+by the pair (W, W'), never the subquotient itself, which holds its
+parent; later requests wrap that data in a new SubquotientModule without
+checking it again.
 """
 
 from __future__ import annotations
@@ -115,8 +123,8 @@ def _rad_action(v: Module, n: int) -> np.ndarray:
 
 
 def _annihilator(v: Module, n: int) -> Subspace:
-    if v.dim == 0:
-        return Subspace.full(0, v.algebra.p)
+    if n == 0 or v.dim == 0:
+        return Subspace.zero(v.dim, v.algebra.p)
     return kernel(_rad_action(v, n).transpose(0, 2, 1).reshape(-1, v.dim), v.algebra.p)
 
 
@@ -136,28 +144,42 @@ def radical_series(v: Module) -> LoewySeries:
     return LoewySeries("radical", [radical_n(v, n) for n in range(L + 1)])
 
 
+def _series_quotient(v: Module, kind: str, upper: int, lower: int) -> SubquotientModule:
+    """W_upper / W_lower for the terms W_n = rad^n V (radical kind) or
+    soc^n V (socle kind), built by subquotient once per module and pair
+    of terms."""
+    term = radical_n if kind == "radical" else socle_n
+    top, bot = term(v, upper), term(v, lower)
+    if (top, bot) in v._subquotients:
+        action, lift, proj = v._subquotients[top, bot]
+        return SubquotientModule(v.algebra, action, v, top, bot, lift, proj, check=False)
+    sub = subquotient(v, top, bot)
+    v._subquotients[top, bot] = (sub.action, sub.lift, sub.proj)
+    return sub
+
+
 def capital_n(v: Module, n: int) -> SubquotientModule:
     """The quotient V / rad^n V."""
-    return subquotient(v, Subspace.full(v.dim, v.algebra.p), radical_n(v, n))
+    return _series_quotient(v, "radical", 0, n)
 
 
 def socle_submodule(v: Module, n: int) -> SubquotientModule:
     """soc^n V as a submodule."""
-    return subquotient(v, socle_n(v, n), Subspace.zero(v.dim, v.algebra.p))
+    return _series_quotient(v, "socle", n, 0)
 
 
 def socle_layer(v: Module, n: int) -> SubquotientModule:
     """The semisimple layer soc^n V / soc^{n-1} V, n >= 1."""
     if n < 1:
         raise ValueError("layers are indexed from 1")
-    return subquotient(v, socle_n(v, n), socle_n(v, n - 1))
+    return _series_quotient(v, "socle", n, n - 1)
 
 
 def radical_layer(v: Module, n: int) -> SubquotientModule:
     """The semisimple layer rad^{n-1} V / rad^n V, n >= 1."""
     if n < 1:
         raise ValueError("layers are indexed from 1")
-    return subquotient(v, radical_n(v, n - 1), radical_n(v, n))
+    return _series_quotient(v, "radical", n - 1, n)
 
 
 def capital_map(f: ModuleMap, n: int) -> ModuleMap:

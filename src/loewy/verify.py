@@ -9,6 +9,10 @@ layer and a simple they are layer multiplicities, which layer_table reads
 as dim(W e_j) - dim(W' e_j) on the cached series: layers are semisimple
 and End(S_j) = F for a basic algebra.  The main theorem and the Landrock
 lemma share that sweep and differ only in the dual they apply to P_j.
+_run_checks holds the standard family S_i, P_i, I_i while several checkers
+run, so they share those modules and everything cached on them: P_j,
+its two duals and the Nakayama functor on it, and the series, layers and
+capitals of each.
 """
 
 from __future__ import annotations
@@ -348,6 +352,22 @@ def merge_reports(reports: list[VerificationReport]) -> VerificationReport:
     return VerificationReport(first.description, first.loewy_length, checks, elapsed)
 
 
+def _run_checks(a: Algebra, names=tuple(ALL_CHECKS), seed: int = 0) -> VerificationReport:
+    """Run the named checkers on a, in order, and merge their reports.
+
+    seed goes to the adjunction check.  With more than one checker, the
+    standard family is built first and held until they are done, so they
+    share its modules (the standard modules are cached weakly on the
+    algebra) and what is cached on those.  A single checker builds only
+    what it reads: holding the family for it made the one-checker CLI
+    calls of the large-prime benchmark about 9% slower in verify_s (on a
+    2-core machine)."""
+    family = _standard_family(a) if len(names) > 1 else []  # held, not read
+    reports = [ALL_CHECKS[name](a, seed=seed) if name == "adjunction" else ALL_CHECKS[name](a)
+               for name in names]
+    return merge_reports(reports)
+
+
 def run_corpus(entries: list[tuple[str, Algebra]], seed: int = 0) -> list[VerificationReport]:
     """Run every checker over (name, algebra) pairs, sorted by name.
 
@@ -356,16 +376,7 @@ def run_corpus(entries: list[tuple[str, Algebra]], seed: int = 0) -> list[Verifi
     reproducible."""
     reports = []
     for offset, (name, a) in enumerate(sorted(entries, key=lambda e: e[0])):
-        s = seed + offset
-        merged = merge_reports(
-            [
-                verify_main_theorem(a),
-                verify_landrock(a),
-                verify_nakayama_identity(a),
-                verify_adjunction(a, seed=s),
-                verify_duality_lemmas(a),
-            ]
-        )
+        merged = _run_checks(a, seed=seed + offset)
         merged.description = f"{name}: {merged.description}"
         reports.append(merged)
     return reports
