@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import PrimeField, Subspace, kernel, rref
+from .linalg import PrimeField, Subspace, kernel, matmul_mod, rref
 
 __all__ = [
     "Arrow",
@@ -28,10 +28,6 @@ __all__ = [
     "build_path_algebra",
     "is_symmetric",
 ]
-
-# Full associativity check on all basis triples costs dim**5 scalar ops; above
-# this bound the constructor falls back to the equivalent generator check.
-_FULL_ASSOC_LIMIT = 48
 
 
 @dataclass(frozen=True)
@@ -274,8 +270,8 @@ class Algebra:
     table[a, b] holds the coordinates of basis_a * basis_b.  The first
     num_vertices basis elements are the primitive idempotents; the radical is
     the span of the basis paths of length >= 1.  The constructor verifies
-    identity, idempotent and associativity laws and computes the radical
-    power chain, failing fast on any violation.
+    identity, idempotent and associativity laws and that the paths of length
+    <= 1 generate, computes the radical chain, and fails fast on a violation.
     """
 
     def __init__(
@@ -310,8 +306,6 @@ class Algebra:
 
         if self.table.shape != (self.dim, self.dim, self.dim):
             raise ValueError(f"structure table has shape {self.table.shape}")
-        if self.dim * (self.p - 1) ** 2 >= 2**63:
-            raise ValueError("dim * (p-1)**2 exceeds the exact int64 range")
         if len(self.labels) != self.dim or len(self.path_lengths) != self.dim:
             raise ValueError("basis bookkeeping does not match the dimension")
         k = self.num_vertices
@@ -335,8 +329,8 @@ class Algebra:
         t = self.table
         ident = np.eye(d, dtype=np.int64)
         # identity element
-        left = np.tensordot(self.one, t, axes=(0, 0)) % p
-        right = np.tensordot(self.one, t, axes=(0, 1)) % p
+        left = matmul_mod(self.one, t.reshape(d, d * d), p).reshape(d, d)
+        right = matmul_mod(self.one, t.transpose(1, 0, 2).reshape(d, d * d), p).reshape(d, d)
         if not (np.array_equal(left, ident) and np.array_equal(right, ident)):
             raise ValueError("identity check failed")
         # orthogonal idempotents on the trivial paths
@@ -348,57 +342,41 @@ class Algebra:
         # radical coordinates never produce idempotent components
         if t[:, k:, :k].any() or t[k:, :, :k].any():
             raise ValueError("products of radical elements leak into degree zero")
-        # associativity
-        if d <= _FULL_ASSOC_LIMIT:
-            lhs = (t.reshape(d * d, d) @ t.reshape(d, d * d)) % p
-            rhs = np.tensordot(t, t, axes=([2], [1])) % p  # [b, c, a, f]
-            rhs = rhs.transpose(2, 0, 1, 3).reshape(d * d, d * d)
-            if not np.array_equal(lhs, rhs):
+        # The trivial paths and arrows generate A: the span W of their
+        # products, grown by W <- W + W * generators, reaches all of A.
+        gens = self.generator_indices()
+        right_mult = t[:, gens, :].transpose(1, 0, 2)  # z -> z * g, per generator g
+        span, size = Subspace.from_rows(ident[gens], d, p), -1
+        while span.dim > size:
+            size = span.dim
+            moved = matmul_mod(span.basis, right_mult, p).reshape(-1, d)
+            span = Subspace.from_rows(np.vstack([span.basis, moved]), d, p)
+        if span.dim != d:
+            raise ValueError("the trivial paths and arrows do not generate the algebra")
+        # associativity: (a*b)*g = a*(b*g) for basis elements a, b and each
+        # generator g.  Then (x*y)*(w*g) = ((x*y)*w)*g = (x*(y*w))*g = x*(y*(w*g))
+        # by induction on the length of w, a product of generators, so all of A associates.
+        for r_g in right_mult:
+            lhs = matmul_mod(t.reshape(d * d, d), r_g, p).reshape(d, d, d)
+            if not np.array_equal(lhs, matmul_mod(r_g, t, p)):  # [a, b] = a*(b*g)
                 raise ValueError("associativity check failed")
-        else:
-            # (a*b)*g = a*(b*g) against every generator g; bilinearity and the
-            # path grading extend this to all basis triples.
-            for g in np.nonzero(self.path_lengths <= 1)[0]:
-                r_g = t[:, g, :]
-                lhs = (t.reshape(d * d, d) @ r_g).reshape(d, d, d) % p
-                rhs = np.tensordot(r_g, t, axes=([1], [1])) % p  # [b, a, f]
-                if not np.array_equal(lhs, rhs.transpose(1, 0, 2)):
-                    raise ValueError("associativity check failed")
 
     def _compute_radical_chain(self) -> list[Subspace]:
         chain = [Subspace.full(self.dim, self.p)]
-        rad_idx = np.arange(self.num_vertices, self.dim)
+        right_mult = self.table[:, self.num_vertices:, :].transpose(1, 0, 2)
         current = self.radical
         while current.dim > 0:
             chain.append(current)
             if len(chain) > self.dim + 1:
                 raise ValueError("radical is not nilpotent")
-            rows = np.concatenate([current.basis @ self.table[:, j, :] for j in rad_idx]) \
-                if rad_idx.size else np.zeros((0, self.dim), dtype=np.int64)
-            nxt = Subspace.from_rows(rows % self.p, self.dim, self.p)
+            rows = matmul_mod(current.basis, right_mult, self.p).reshape(-1, self.dim)
+            nxt = Subspace.from_rows(rows, self.dim, self.p)
             if nxt.dim >= current.dim and current.dim > 0:
                 raise ValueError("radical chain fails to shrink")
             current = nxt
         chain.append(Subspace.zero(self.dim, self.p))
         # chain[n] = rad^n for n <= loewy_length
         return chain
-
-    # -- arithmetic ---------------------------------------------------------------
-
-    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64) % self.p
-        y = np.asarray(y, dtype=np.int64) % self.p
-        if x.shape != (self.dim,) or y.shape != (self.dim,):
-            raise ValueError("operands must be coordinate vectors of the algebra")
-        return np.tensordot(x, np.tensordot(y, self.table, axes=(0, 1)), axes=(0, 0)) % self.p
-
-    def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of z -> x * z on row coordinate vectors (z @ result)."""
-        return np.tensordot(np.asarray(x) % self.p, self.table, axes=(0, 0)) % self.p
-
-    def right_mult_matrix(self, y: np.ndarray) -> np.ndarray:
-        """Matrix of z -> z * y on row coordinate vectors."""
-        return np.tensordot(np.asarray(y) % self.p, self.table, axes=(0, 1)) % self.p
 
     def radical_power(self, n: int) -> Subspace:
         """The subspace rad^n, with rad^0 the whole algebra."""
@@ -415,10 +393,11 @@ class Algebra:
         """(g, s, t) for every arrow g of the basis and every pair of vertices
         with e_s * g * e_t != 0: one pair per arrow, its source and target,
         on a path basis."""
-        k, p, t = self.num_vertices, self.p, self.table
+        k, p, t, d = self.num_vertices, self.p, self.table, self.dim
+        times_idempotents = t[:, :k].reshape(d, k * d)  # [f, (t, :)] = f * e_t
         ends = []
         for g in self.generator_indices()[k:]:
-            sandwiched = np.tensordot(t[:k, g], t[:, :k], axes=(1, 0)) % p  # [s, t, :]
+            sandwiched = matmul_mod(t[:k, g], times_idempotents, p).reshape(k, k, d)  # [s, t, :]
             ends += [(int(g), int(s), int(e)) for s, e in np.argwhere(sandwiched.any(axis=2))]
         return ends
 
@@ -495,18 +474,18 @@ def is_symmetric(a: Algebra, seed: int = 0) -> SymmetryResult:
     socle = kernel(t[:, k:, :].transpose(1, 2, 0).reshape((d - k) * d, d), p)
     lines = []
     for j in range(k):
-        part = Subspace.from_rows(socle.basis @ t[:, j, :], d, p)  # soc(A_A) e_j
+        part = Subspace.from_rows(matmul_mod(socle.basis, t[:, j, :], p), d, p)  # soc(A_A) e_j
         if part.dim != 1:
             return SymmetryResult("no")
         lines.append(part.basis[0])
-    phi = (cand.basis @ np.array(lines).T) % p  # phi[:, j] = values on s_j
+    phi = matmul_mod(cand.basis, np.array(lines).T, p)  # phi[:, j] = values on s_j
     if not phi.any(axis=0).all():
         return SymmetryResult("no")
     c = _nonvanishing_combination(phi, p)
     if c is None:
         return SymmetryResult("no")
-    lam = (c @ cand.basis) % p
-    gram = np.tensordot(t, lam, axes=([2], [0])) % p
+    lam = matmul_mod(c, cand.basis, p)
+    gram = matmul_mod(t, lam, p)
     if len(rref(gram, p)[1]) != d:
         raise RuntimeError("the symmetrizing form found has a degenerate Gram matrix")
     return SymmetryResult("yes", lam)
@@ -517,7 +496,7 @@ _GRID_POINTS = 1 << 16
 
 
 def _nonvanishing_combination(phi: np.ndarray, p: int) -> np.ndarray | None:
-    """A c with every entry of c @ phi nonzero mod p, or None if there is none.
+    """A c with every entry of c·phi nonzero mod p, or None if there is none.
 
     No column of phi may be zero.  A line search fixes one column at a time,
     along a direction on which that column does not vanish; each column
@@ -527,7 +506,7 @@ def _nonvanishing_combination(phi: np.ndarray, p: int) -> np.ndarray | None:
     """
     m, k = phi.shape
     c = np.zeros(m, dtype=np.int64)
-    values = np.zeros(k, dtype=np.int64)  # c @ phi
+    values = np.zeros(k, dtype=np.int64)  # c·phi
     for j in range(k):
         if values[j]:
             continue
@@ -551,7 +530,7 @@ def _nonvanishing_combination(phi: np.ndarray, p: int) -> np.ndarray | None:
     coeffs[:, r - tail:] = np.indices((p,) * tail).reshape(tail, -1).T
     for head in np.ndindex(*([p] * (r - tail))):
         coeffs[:, : r - tail] = head
-        hits = np.nonzero(((coeffs @ phi[rows]) % p).all(axis=1))[0]
+        hits = np.nonzero(matmul_mod(coeffs, phi[rows], p).all(axis=1))[0]
         if hits.size:
             c[:] = 0
             c[rows] = coeffs[hits[0]]

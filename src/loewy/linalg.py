@@ -5,9 +5,8 @@ keep their basis in reduced row-echelon form, so equal subspaces have
 identical representations and comparison is a plain array equality.  All
 routines are deterministic.
 
-Dimensions are desk scale; callers must keep d * (p - 1)**2 inside int64,
-which holds for every prime this package targets (p < 2**31 with small d,
-or small p with d in the hundreds).
+Every product that sums over an index goes through matmul_mod, exact for
+every prime p < 2**31; elimination multiplies only pairs of entries.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ __all__ = [
     "rank",
     "kernel",
     "complement_basis",
+    "matmul_mod",
 ]
 
 
@@ -67,6 +67,28 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
+def matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """(x @ y) mod p, with numpy matmul semantics, for int64 operands with
+    entries in [0, p); exact for every prime p < 2**31.
+
+    When inner * (p - 1)**2 < 2**63 the int64 product cannot overflow.
+    Otherwise y = hi * 2**16 + lo is split into 16-bit halves, and each is
+    multiplied in chunks of 2**16 inner terms below 2**47 before reducing
+    (delayed reduction, Dumas-Giorgi-Pernet, ACM TOMS 35(3), 2008).
+    """
+    inner = x.shape[-1]
+    if inner * (p - 1) ** 2 < 2**63:
+        return (x @ y) % p
+    lo, hi = y & 0xFFFF, y >> 16
+    out = np.zeros((), dtype=np.int64)
+    for start in range(0, inner, 1 << 16):
+        cols = slice(start, start + (1 << 16))
+        xs, rows = x[..., cols], cols if y.ndim == 1 else (Ellipsis, cols, slice(None))
+        part = (xs @ hi[rows]) % p * (1 << 16) + (xs @ lo[rows]) % p
+        out = (out + part) % p
+    return out
+
+
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p).
 
@@ -104,7 +126,7 @@ def rank(m: np.ndarray, p: int) -> int:
 
 
 def kernel(m: np.ndarray, p: int) -> "Subspace":
-    """Right null space {x : m @ x = 0} as a Subspace of F^ncols."""
+    """Right null space {x : m·x = 0} as a Subspace of F^ncols."""
     m = np.asarray(m, dtype=np.int64) % p
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
@@ -152,9 +174,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def reduce(self, vectors: np.ndarray) -> np.ndarray:
         """Residue of row vectors modulo this subspace (zero iff contained)."""
         v = np.asarray(vectors, dtype=np.int64) % self.p
@@ -162,7 +181,7 @@ class Subspace:
         rows = 1 if squeeze else v.shape[0] if v.ndim else 0
         v = v.reshape(rows, self.ambient)
         if self.dim:
-            v = (v - v[:, self.pivots] @ self.basis) % self.p
+            v = (v - matmul_mod(v[:, self.pivots], self.basis, self.p)) % self.p
         return v[0] if squeeze else v
 
     def contains_vector(self, v: np.ndarray) -> bool:
@@ -202,17 +221,17 @@ class Subspace:
         self._check_compatible(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient, self.p)
-        # (c, d) with c @ self.basis = d @ other.basis
+        # (c, d) with c·self.basis = d·other.basis
         m = np.hstack([self.basis.T, (-other.basis.T) % self.p])
         combos = kernel(m, self.p)
-        rows = combos.basis[:, : self.dim] @ self.basis
+        rows = matmul_mod(combos.basis[:, : self.dim], self.basis, self.p)
         return Subspace.from_rows(rows, self.ambient, self.p)
 
     def quotient_maps(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates on F^ambient / self.
 
         Returns (proj, section): proj is ambient x q, section is q x ambient,
-        q = ambient - dim, and section @ proj is the identity on quotient
+        q = ambient - dim, and section·proj is the identity on quotient
         coordinates.
         """
         d, p = self.ambient, self.p

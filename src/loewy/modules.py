@@ -1,7 +1,7 @@
 """Finite-dimensional right modules over a basic algebra.
 
 A module of dimension d stores one d x d action matrix per algebra basis
-element; elements are row vectors and act on the right, v -> v @ matrix.
+element; elements are row vectors and act on the right, v -> v·M.
 Module maps are intertwiners in the same convention, so composition of
 maps is matrix multiplication in application order.
 
@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import Algebra, _nonvanishing_combination
-from .linalg import Subspace, complement_basis, kernel, rref
+from .linalg import Subspace, complement_basis, kernel, matmul_mod, rref
 
 __all__ = [
     "Module",
@@ -79,12 +79,12 @@ class Module:
         a, p, d = self.algebra, self.algebra.p, self.dim
         if not np.array_equal(self.act(a.one), np.eye(d, dtype=np.int64)):
             raise ValueError("identity does not act as the identity matrix")
-        # Multiplicativity against the generators, all in one product;
-        # products of generators give every basis element, so this pins down
-        # the whole action.
+        # Multiplicativity against the generators, all in one product, pins
+        # down the whole action: Algebra checks that they generate A.
         gens = a.generator_indices()
-        prod = np.tensordot(a.table[:, gens, :], self.action, axes=([2], [0])) % p
-        direct = (self.action[:, None] @ self.action[gens][None]) % p
+        flat = self.action.reshape(a.dim, d * d)
+        prod = matmul_mod(a.table[:, gens, :], flat, p).reshape(a.dim, len(gens), d, d)
+        direct = matmul_mod(self.action[:, None], self.action[gens][None], p)
         bad = (prod != direct).any(axis=(0, 2, 3))
         if bad.any():
             g = gens[int(np.argmax(bad))]
@@ -103,14 +103,15 @@ class Module:
     @cached_property
     def _vertex_columns(self) -> list[Subspace]:
         """The column space of action[i] for each vertex i, which holds the
-        columns of action[i] @ F for every map F out of this module."""
+        columns of action[i]·F for every map F out of this module."""
         idempotents = self.action[: self.algebra.num_vertices]
         return [Subspace.from_rows(e.T, self.dim, self.algebra.p) for e in idempotents]
 
     def act(self, x: np.ndarray) -> np.ndarray:
         """Action matrix of an arbitrary algebra element (row convention)."""
         x = np.asarray(x, dtype=np.int64) % self.algebra.p
-        return np.tensordot(x, self.action, axes=(0, 0)) % self.algebra.p
+        flat = self.action.reshape(self.algebra.dim, -1)
+        return matmul_mod(x, flat, self.algebra.p).reshape(self.dim, self.dim)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -121,7 +122,7 @@ class SubquotientModule(Module):
 
     lift (dim x parent.dim) sends coordinates to representatives inside the
     parent; proj (parent.dim x dim) reduces modulo bot and extracts
-    coordinates, and lift @ proj is the identity.  Both are read-only.
+    coordinates, and lift·proj is the identity.  Both are read-only.
     """
 
     def __init__(self, algebra, action, parent: Module, top: Subspace, bot: Subspace,
@@ -150,8 +151,8 @@ class ModuleMap:
 
     def _intertwines(self) -> bool:
         p = self.source.algebra.p
-        lhs = (self.source.action @ self.matrix) % p
-        rhs = np.matmul(self.matrix, self.target.action) % p
+        lhs = matmul_mod(self.source.action, self.matrix, p)
+        rhs = matmul_mod(self.matrix, self.target.action, p)
         return np.array_equal(lhs, rhs)
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
@@ -159,10 +160,7 @@ class ModuleMap:
         if other.source is not self.target and other.source.dim != self.target.dim:
             raise ValueError("maps do not compose")
         return ModuleMap(self.source, other.target,
-                         (self.matrix @ other.matrix) % self.source.algebra.p)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return (np.asarray(v, dtype=np.int64) @ self.matrix) % self.source.algebra.p
+                         matmul_mod(self.matrix, other.matrix, self.source.algebra.p))
 
     def is_isomorphism(self) -> bool:
         if self.source.dim != self.target.dim:
@@ -209,7 +207,7 @@ def subquotient(v: Module, top: Subspace, bot: Subspace) -> SubquotientModule:
     for w in (top, bot):
         if w.ambient != d or w.p != p:
             raise ValueError("subspace does not live in the module's coordinate space")
-        moved = (w.basis @ generators) % p  # (generators, w.dim, d)
+        moved = matmul_mod(w.basis, generators, p)  # (generators, w.dim, d)
         if w.dim and moved.size and w.reduce(moved.reshape(-1, d)).any():
             raise ValueError("subspace is not invariant under the algebra action")
     lift = complement_basis(top, bot)  # raises unless bot <= top
@@ -219,7 +217,7 @@ def subquotient(v: Module, top: Subspace, bot: Subspace) -> SubquotientModule:
     for j, pc in enumerate(bot.pivots):
         reducer[pc] = (reducer[pc] - bot.basis[j]) % p
     proj = reducer[:, piv_c]
-    action = (lift @ v.action) % p @ proj % p  # (dimA, q, q)
+    action = matmul_mod(matmul_mod(lift, v.action, p), proj, p)  # (dimA, q, q)
     return SubquotientModule(v.algebra, action, v, top, bot, lift, proj)
 
 
@@ -303,11 +301,13 @@ def hom_space(u: Module, v: Module) -> list[ModuleMap]:
             continue
         block = np.zeros((cs, rt, m), dtype=np.int64)
         # Coefficient of P_t[c, d] in (X P_t)[a, b] is X[a, c] when b == d.
-        x = (u.action[s][cols[s].pivots] @ u.action[g]) % p @ cols[t].basis.T % p
+        x = matmul_mod(matmul_mod(u.action[s][cols[s].pivots], u.action[g], p),
+                       cols[t].basis.T, p)
         block[:, :, offsets[t]:offsets[t + 1]] += np.einsum(
             "ac,bd->abcd", x, np.eye(rt, dtype=np.int64)).reshape(cs, rt, -1)
         # Coefficient of P_s[c, d] in (P_s Y)[a, b] is Y[d, b] when a == c.
-        y = (rows[s].basis @ v.action[g]) % p @ v.action[t][:, rows[t].pivots] % p
+        y = matmul_mod(matmul_mod(rows[s].basis, v.action[g], p),
+                       v.action[t][:, rows[t].pivots], p)
         block[:, :, offsets[s]:offsets[s + 1]] -= np.einsum(
             "ac,db->abcd", np.eye(cs, dtype=np.int64), y).reshape(cs, rt, -1)
         constraints.append(block.reshape(cs * rt, m))
@@ -321,7 +321,7 @@ def hom_space(u: Module, v: Module) -> list[ModuleMap]:
     maps = np.zeros((n, du, dv), dtype=np.int64)
     for i, (c, r) in enumerate(zip(cols, rows)):
         block = params[:, offsets[i]:offsets[i + 1]].reshape(n, c.dim, r.dim)
-        maps = (maps + (c.basis.T @ block) % p @ r.basis) % p
+        maps = (maps + matmul_mod(matmul_mod(c.basis.T, block, p), r.basis, p)) % p
     basis = rref(maps.reshape(-1, du * dv), p)[0]
     return [ModuleMap(u, v, row.reshape(du, dv)) for row in basis]
 
@@ -358,9 +358,9 @@ def _build_a_dual(v: Module) -> ADualModule:
     action = np.zeros((a.dim, m, m), dtype=np.int64)
     for c in range(a.dim):
         # a.table[c] is the matrix of z -> basis_c * z on the regular module.
-        moved = ((stacked @ a.table[c]) % p).reshape(m, -1)
+        moved = matmul_mod(stacked, a.table[c], p).reshape(m, -1)
         coords = moved[:, piv]
-        if not np.array_equal((coords @ flat) % p, moved):
+        if not np.array_equal(matmul_mod(coords, flat, p), moved):
             raise ValueError("left multiplication does not preserve the hom space")
         action[c] = coords
     return ADualModule(a.opposite(), action)
@@ -436,7 +436,7 @@ def find_isomorphism(u: Module, v: Module, seed: int = 0) -> IsoSearchResult:
     c = _nonvanishing_combination(phi, p)
     if c is None:
         return IsoSearchResult("no")
-    witness = ModuleMap(u, v, np.tensordot(c, stacked, axes=(0, 0)) % p)
+    witness = ModuleMap(u, v, matmul_mod(c, stacked.reshape(len(maps), -1), p))
     if not witness.is_isomorphism():
         raise RuntimeError("the combination found does not induce an isomorphism of the tops")
     return IsoSearchResult("yes", witness)
@@ -460,6 +460,6 @@ def _top_scalars(mats: np.ndarray, u: Module, v: Module) -> np.ndarray:
         if outside.size:
             xs.append(eu.basis[outside[0]])
             cols.append(np.argwhere(rad_v.reduce(ev.basis))[0, 1])
-    images = (np.array(xs) @ mats) % p  # (len(mats), len(xs), v.dim)
+    images = matmul_mod(np.array(xs), mats, p)  # (len(mats), len(xs), v.dim)
     reduced = rad_v.reduce(images.reshape(-1, v.dim)).reshape(images.shape)
     return reduced[:, np.arange(len(xs)), cols]

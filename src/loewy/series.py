@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Subspace, kernel, rank
+from .linalg import Subspace, kernel, matmul_mod, rank
 from .modules import (
     Module,
     ModuleMap,
@@ -117,9 +117,10 @@ def radical_n(v: Module, n: int) -> Subspace:
 
 
 def _rad_action(v: Module, n: int) -> np.ndarray:
-    """The action matrices of a basis of rad^n A, one (dim rad^n A, d, d)
-    product; each entry sums dim A terms below p**2, as Module.act does."""
-    return np.tensordot(v.algebra.radical_power(n).basis, v.action, axes=(1, 0)) % v.algebra.p
+    """The action matrices of a basis of rad^n A, one (dim rad^n A, d, d) product."""
+    a = v.algebra
+    flat = matmul_mod(a.radical_power(n).basis, v.action.reshape(a.dim, -1), a.p)
+    return flat.reshape(-1, v.dim, v.dim)
 
 
 def _annihilator(v: Module, n: int) -> Subspace:
@@ -187,7 +188,7 @@ def capital_map(f: ModuleMap, n: int) -> ModuleMap:
     src = capital_n(f.source, n)
     tgt = capital_n(f.target, n)
     p = f.source.algebra.p
-    return ModuleMap(src, tgt, (src.lift @ f.matrix) % p @ tgt.proj % p)
+    return ModuleMap(src, tgt, matmul_mod(matmul_mod(src.lift, f.matrix, p), tgt.proj, p))
 
 
 def socle_map(f: ModuleMap, n: int) -> ModuleMap:
@@ -195,10 +196,10 @@ def socle_map(f: ModuleMap, n: int) -> ModuleMap:
     src = socle_submodule(f.source, n)
     tgt = socle_submodule(f.target, n)
     p = f.source.algebra.p
-    moved = (src.lift @ f.matrix) % p
+    moved = matmul_mod(src.lift, f.matrix, p)
     if not tgt.top.contains(Subspace.from_rows(moved, f.target.dim, p)):
         raise ValueError("map does not carry the socle into the socle")
-    return ModuleMap(src, tgt, (moved @ tgt.proj) % p)
+    return ModuleMap(src, tgt, matmul_mod(moved, tgt.proj, p))
 
 
 def adjunction_forward(f: ModuleMap, n: int) -> ModuleMap:
@@ -215,10 +216,10 @@ def adjunction_forward(f: ModuleMap, n: int) -> ModuleMap:
     if src.bot != radical_n(parent, n):
         raise ValueError(f"source of f is not the capital at level n={n}")
     target = socle_submodule(f.target, n)
-    through = (src.proj @ f.matrix) % p  # parent -> W coordinates
+    through = matmul_mod(src.proj, f.matrix, p)  # parent -> W coordinates
     if not target.top.contains(Subspace.from_rows(through, f.target.dim, p)):
         raise ValueError("image does not lie in the n-th socle")
-    return ModuleMap(parent, target, (through @ target.proj) % p)
+    return ModuleMap(parent, target, matmul_mod(through, target.proj, p))
 
 
 def adjunction_backward(g: ModuleMap, n: int) -> ModuleMap:
@@ -231,9 +232,9 @@ def adjunction_backward(g: ModuleMap, n: int) -> ModuleMap:
     if tgt.top != socle_n(parent_w, n):
         raise ValueError(f"target of g is not the socle at level n={n}")
     src = capital_n(g.source, n)
-    if src.bot.dim and ((src.bot.basis @ g.matrix) % p).any():
+    if src.bot.dim and matmul_mod(src.bot.basis, g.matrix, p).any():
         raise ValueError("map does not kill rad^n of its source")
-    return ModuleMap(src, parent_w, (src.lift @ g.matrix) % p @ tgt.lift % p)
+    return ModuleMap(src, parent_w, matmul_mod(matmul_mod(src.lift, g.matrix, p), tgt.lift, p))
 
 
 def dual_socle_capital_iso(u: Module, n: int) -> tuple[ModuleMap, ModuleMap]:
@@ -249,8 +250,8 @@ def dual_socle_capital_iso(u: Module, n: int) -> tuple[ModuleMap, ModuleMap]:
     cap = capital_n(u, n)
     cap_dual = f_dual(cap)
     p = u.algebra.p
-    eta = ModuleMap(soc, cap_dual, (soc.lift @ cap.lift.T) % p)
-    xi = ModuleMap(cap_dual, soc, (cap.proj.T @ soc.proj) % p)
+    eta = ModuleMap(soc, cap_dual, matmul_mod(soc.lift, cap.lift.T, p))
+    xi = ModuleMap(cap_dual, soc, matmul_mod(cap.proj.T, soc.proj, p))
     _check_mutually_inverse(eta, xi)
     return eta, xi
 
@@ -271,13 +272,13 @@ def dual_layer_iso(u: Module, n: int) -> tuple[ModuleMap, ModuleMap]:
     # to zero with soc^m U and has the complementary dimension.
     for m in (n - 1, n):
         soc, rad = socle_n(u, m), radical_n(du, m)
-        if soc.dim + rad.dim != u.dim or ((soc.basis @ rad.basis.T) % p).any():
+        if soc.dim + rad.dim != u.dim or matmul_mod(soc.basis, rad.basis.T, p).any():
             raise ValueError("dual radical series does not annihilate the socle series")
     lay = socle_layer(u, n)
     dual_lay = f_dual(lay)
     rad_lay = radical_layer(du, n)
-    eta = ModuleMap(dual_lay, rad_lay, (lay.proj.T @ rad_lay.proj) % p)
-    xi = ModuleMap(rad_lay, dual_lay, (rad_lay.lift @ lay.lift.T) % p)
+    eta = ModuleMap(dual_lay, rad_lay, matmul_mod(lay.proj.T, rad_lay.proj, p))
+    xi = ModuleMap(rad_lay, dual_lay, matmul_mod(rad_lay.lift, lay.lift.T, p))
     _check_mutually_inverse(eta, xi)
     return eta, xi
 
@@ -285,9 +286,9 @@ def dual_layer_iso(u: Module, n: int) -> tuple[ModuleMap, ModuleMap]:
 def _check_mutually_inverse(f: ModuleMap, g: ModuleMap) -> None:
     p = f.source.algebra.p
     d1, d2 = f.source.dim, g.source.dim
-    if not np.array_equal((f.matrix @ g.matrix) % p, np.eye(d1, dtype=np.int64)):
+    if not np.array_equal(matmul_mod(f.matrix, g.matrix, p), np.eye(d1, dtype=np.int64)):
         raise ValueError("maps are not mutually inverse")
-    if not np.array_equal((g.matrix @ f.matrix) % p, np.eye(d2, dtype=np.int64)):
+    if not np.array_equal(matmul_mod(g.matrix, f.matrix, p), np.eye(d2, dtype=np.int64)):
         raise ValueError("maps are not mutually inverse")
 
 
@@ -310,7 +311,7 @@ def layer_table(family: list[Module], kind: str) -> LayerTable:
     term = radical_n if kind == "radical" else socle_n
     p, L = a.p, a.loewy_length
     dims = np.array([
-        [[rank(term(v, n).basis @ v.action[j], p) for n in range(L + 1)]
+        [[rank(matmul_mod(term(v, n).basis, v.action[j], p), p) for n in range(L + 1)]
          for j in range(a.num_vertices)]
         for v in family
     ], dtype=np.int64)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Algebra, is_symmetric
+from .linalg import matmul_mod
 from .modules import (
     Module,
     ModuleMap,
@@ -219,8 +220,8 @@ def _random_hom(rng, u: Module, v: Module):
     coeffs = rng.integers(0, p, size=len(basis)).astype(np.int64)
     if not coeffs.any():
         coeffs[int(rng.integers(0, len(basis)))] = 1
-    mat = np.tensordot(coeffs, np.array([f.matrix for f in basis]), axes=(0, 0)) % p
-    return ModuleMap(u, v, mat)
+    stacked = np.array([f.matrix for f in basis]).reshape(len(basis), -1)
+    return ModuleMap(u, v, matmul_mod(coeffs, stacked, p))
 
 
 def verify_adjunction(a: Algebra, sample_size: int = 3, seed: int = 0) -> VerificationReport:
@@ -278,12 +279,12 @@ def verify_adjunction(a: Algebra, sample_size: int = 3, seed: int = 0) -> Verifi
         cap_u = capital_map(map_u, n)
         soc_v = socle_map(map_v, n)
         # route 1: transport f along the square, then take the adjoint
-        transported = (cap_u.matrix @ f.matrix) % p @ map_v.matrix % p
+        transported = matmul_mod(matmul_mod(cap_u.matrix, f.matrix, p), map_v.matrix, p)
         f2 = ModuleMap(capital_n(u2, n), v2, transported)
         lhs = adjunction_forward(f2, n).matrix
         # route 2: take the adjoint, then transport along the square
         eta_f = adjunction_forward(f, n)
-        rhs = (map_u.matrix @ eta_f.matrix) % p @ soc_v.matrix % p
+        rhs = matmul_mod(matmul_mod(map_u.matrix, eta_f.matrix, p), soc_v.matrix, p)
         if not np.array_equal(lhs, rhs):
             failures += 1
         squares += 1

@@ -11,6 +11,7 @@ from loewy import (
     is_symmetric,
     linear_quiver_algebra,
 )
+from loewy.linalg import PrimeField
 
 P = 5
 
@@ -19,6 +20,11 @@ def _unit(i, d):
     v = np.zeros(d, dtype=np.int64)
     v[i] = 1
     return v
+
+
+def _mul(a, x, y):
+    """x * y read off the structure table: the sum of x_i y_j table[i, j]."""
+    return np.einsum("i,j,ijf->f", x, y, a.table) % a.p
 
 
 def _walk_count(quiver, max_len):
@@ -60,22 +66,22 @@ def test_basis_order_and_labels(n32):
 def test_products_follow_path_composition(n32):
     d = n32.dim
     # a0 then a1 is the length-two basis path, the other order is dead
-    assert np.array_equal(n32.multiply(_unit(3, d), _unit(4, d)), _unit(6, d))
-    assert not n32.multiply(_unit(4, d), _unit(3, d)).any()
+    assert np.array_equal(n32.table[3, 4], _unit(6, d))
+    assert not n32.table[4, 3].any()
     # trivial paths act as source/target units
-    assert np.array_equal(n32.multiply(_unit(0, d), _unit(3, d)), _unit(3, d))
-    assert np.array_equal(n32.multiply(_unit(3, d), _unit(1, d)), _unit(3, d))
-    assert not n32.multiply(_unit(3, d), _unit(0, d)).any()
+    assert np.array_equal(n32.table[0, 3], _unit(3, d))
+    assert np.array_equal(n32.table[3, 1], _unit(3, d))
+    assert not n32.table[3, 0].any()
     # truncation kills length three
-    assert not n32.multiply(_unit(6, d), _unit(5, d)).any()
+    assert not n32.table[6, 5].any()
 
 
 def test_one_is_two_sided_identity(a3):
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.integers(0, P, size=a3.dim)
-        assert np.array_equal(a3.multiply(a3.one, x), x % P)
-        assert np.array_equal(a3.multiply(x, a3.one), x % P)
+        assert np.array_equal(_mul(a3, a3.one, x), x % P)
+        assert np.array_equal(_mul(a3, x, a3.one), x % P)
 
 
 def test_associativity_all_triples():
@@ -89,8 +95,8 @@ def test_associativity_all_triples():
         for y in range(d):
             xy = alg.table[x, y]
             for z in range(d):
-                lhs = alg.multiply(xy, _unit(z, d))
-                rhs = alg.multiply(_unit(x, d), alg.table[y, z])
+                lhs = _mul(alg, xy, _unit(z, d))
+                rhs = _mul(alg, _unit(x, d), alg.table[y, z])
                 assert np.array_equal(lhs, rhs)
 
 
@@ -98,7 +104,7 @@ def test_monomial_relation_kills_product():
     q = Quiver(3, [Arrow("a", 0, 1), Arrow("b", 1, 2)])
     alg = build_path_algebra(q, [Relation.of((1, ("a", "b")))], 3, P)
     assert alg.dim == 5
-    assert not alg.multiply(_unit(3, 5), _unit(4, 5)).any()
+    assert not alg.table[3, 4].any()
 
 
 def test_radical_chain_of_truncated_polynomials():
@@ -118,8 +124,10 @@ def test_left_and_right_mult_matrices(n22):
     rng = np.random.default_rng(1)
     x = rng.integers(0, P, size=n22.dim)
     y = rng.integers(0, P, size=n22.dim)
-    assert np.array_equal((x @ n22.right_mult_matrix(y)) % P, n22.multiply(x, y))
-    assert np.array_equal((y @ n22.left_mult_matrix(x)) % P, n22.multiply(x, y))
+    right_mult = np.einsum("j,ijf->if", y, n22.table) % P  # z -> z * y
+    left_mult = np.einsum("i,ijf->jf", x, n22.table) % P  # z -> x * z
+    assert np.array_equal((x @ right_mult) % P, _mul(n22, x, y))
+    assert np.array_equal((y @ left_mult) % P, _mul(n22, x, y))
 
 
 def test_opposite_reverses_products(n32):
@@ -128,7 +136,7 @@ def test_opposite_reverses_products(n32):
     rng = np.random.default_rng(4)
     x = rng.integers(0, P, size=n32.dim)
     y = rng.integers(0, P, size=n32.dim)
-    assert np.array_equal(opp.multiply(x, y), n32.multiply(y, x))
+    assert np.array_equal(_mul(opp, x, y), _mul(n32, y, x))
     assert opp.loewy_length == n32.loewy_length
 
 
@@ -232,6 +240,29 @@ def test_corrupted_table_is_rejected(n22):
     bad[0, 0, 0] = (bad[0, 0, 0] + 1) % P
     with pytest.raises(ValueError):
         Algebra(n22.field, bad, n22.labels, n22.path_lengths, n22.num_vertices)
+
+
+def test_non_associative_table_is_rejected():
+    # F[x]/(x^3) with x^2 * x changed from 0 to x^2: identity, idempotents
+    # and the radical grading still check out, but (x x) x != x (x x).
+    loop = build_path_algebra(Quiver(1, [Arrow("x", 0, 0)]), [], 3, P)
+    bad = loop.table.copy()
+    bad[2, 1] = [0, 0, 1]
+    with pytest.raises(ValueError, match="associativity"):
+        Algebra(loop.field, bad, loop.labels, loop.path_lengths, 1)
+
+
+def test_table_not_generated_in_length_one_is_rejected():
+    # Basis e, x, y, z, w with y * y = z, z * y = w and every other product
+    # of radical elements zero.  Everything times the generators e and x
+    # associates, yet (y y) y = w != 0 = y (y y); only the check that e and
+    # x generate the algebra sees it.
+    t = np.zeros((5, 5, 5), dtype=np.int64)
+    for i in range(5):
+        t[0, i, i] = t[i, 0, i] = 1
+    t[2, 2, 3] = t[3, 2, 4] = 1
+    with pytest.raises(ValueError, match="do not generate"):
+        Algebra(PrimeField(P), t, ["e0", "x", "y", "z", "w"], np.array([0, 1, 2, 2, 3]), 1)
 
 
 def test_describe_mentions_shape(n32):

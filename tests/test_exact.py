@@ -1,0 +1,206 @@
+"""Exactness on the whole prime range p < 2**31.
+
+Every modular product goes through linalg.matmul_mod.  The property tests
+compare it, and the eliminations built on it, with Python-int references;
+the regression tests run modules and checkers at p = 2**31 - 1, where an
+unreduced int64 product of two entries already overflows after two terms.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loewy import (
+    Module,
+    build_nakayama,
+    expected_delta_table,
+    expected_nakayama_shift,
+    find_isomorphism,
+    hom_space,
+    layer_table,
+    nakayama,
+    projective,
+    regular_module,
+    verify_adjunction,
+    verify_duality_lemmas,
+    verify_landrock,
+    verify_main_theorem,
+    verify_nakayama_identity,
+)
+from loewy.linalg import Subspace, kernel, matmul_mod, rref
+
+P_MAX = 2**31 - 1
+# Small, mid-size and near-2**31 primes: inner * (p - 1)**2 crosses 2**63 at
+# inner = 2 for the last two, at 8193 for 33554393, and never for the rest.
+PRIMES = [2, 5, 65521, 33554393, 2147483629, P_MAX]
+
+exact = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+def _ref_matmul(x, y, p):
+    """(x @ y) mod p in Python integers."""
+    out = (np.asarray(x).astype(object) @ np.asarray(y).astype(object)) % p
+    return np.asarray(out, dtype=np.int64)
+
+
+def _ref_rref(m, p):
+    """Gauss-Jordan elimination in Python integers: (rows, pivots)."""
+    m = [[int(x) % p for x in row] for row in m]
+    ncols = len(m[0]) if m else 0
+    pivots, lead = [], 0
+    for col in range(ncols):
+        piv = next((r for r in range(lead, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[lead], m[piv] = m[piv], m[lead]
+        inv = pow(m[lead][col], p - 2, p)
+        m[lead] = [x * inv % p for x in m[lead]]
+        for r in range(len(m)):
+            if r != lead and m[r][col]:
+                f = m[r][col]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[lead])]
+        pivots.append(col)
+        lead += 1
+    return m, pivots
+
+
+def _operand(rng, p, shape, extreme):
+    """Entries in [0, p); with extreme, about half of them are p - 1."""
+    x = rng.integers(0, p, size=shape, dtype=np.int64)
+    if extreme:
+        x[rng.random(shape) < 0.5] = p - 1
+    return x
+
+
+@exact
+@given(p=st.sampled_from(PRIMES), n=st.integers(0, 4), inner=st.integers(0, 12),
+       m=st.integers(0, 4), seed=st.integers(0, 2**32 - 1), extreme=st.booleans())
+def test_matmul_mod_matches_python_integers(p, n, inner, m, seed, extreme):
+    rng = np.random.default_rng(seed)
+    x = _operand(rng, p, (n, inner), extreme)
+    y = _operand(rng, p, (inner, m), extreme)
+    assert np.array_equal(matmul_mod(x, y, p), _ref_matmul(x, y, p))
+
+
+@exact
+@given(p=st.sampled_from(PRIMES), seed=st.integers(0, 2**32 - 1), extreme=st.booleans())
+def test_matmul_mod_keeps_matmul_semantics(p, seed, extreme):
+    rng = np.random.default_rng(seed)
+    stack = _operand(rng, p, (3, 2, 5), extreme)
+    mat = _operand(rng, p, (5, 4), extreme)
+    vec = _operand(rng, p, (5,), extreme)
+    cases = [(stack, mat), (mat.T, stack.transpose(0, 2, 1)), (vec, mat), (stack, vec), (vec, vec),
+             (stack[:, None], stack.transpose(0, 2, 1)[None])]
+    for x, y in cases:
+        got = matmul_mod(x, y, p)
+        want = (x.astype(object) @ y.astype(object)) % p
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, np.asarray(want, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", [33554393, 2147483629, P_MAX])
+@pytest.mark.parametrize("inner", [8192, 8193, 65536, 65537, 2 * 65536 + 3])
+def test_matmul_mod_long_inner_dimension(p, inner):
+    # Both sides of the 2**63 bound at p = 33554393, and more inner terms
+    # than one int64 chunk of the split path holds.
+    rng = np.random.default_rng(inner)
+    x = _operand(rng, p, (2, inner), extreme=True)
+    y = _operand(rng, p, (inner, 3), extreme=True)
+    assert np.array_equal(matmul_mod(x, y, p), _ref_matmul(x, y, p))
+
+
+@exact
+@given(p=st.sampled_from(PRIMES), rows=st.integers(0, 7), cols=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1), extreme=st.booleans())
+def test_rref_and_kernel_match_python_integers(p, rows, cols, seed, extreme):
+    rng = np.random.default_rng(seed)
+    m = _operand(rng, p, (rows, cols), extreme)
+    if rows > 1:
+        m[-1] = _ref_matmul(_operand(rng, p, (rows - 1,), extreme), m[:-1], p)
+    r, pivots = rref(m, p)
+    ref, ref_pivots = _ref_rref(m, p)
+    assert pivots == ref_pivots
+    assert r.tolist() == ref
+    ker = kernel(m, p)
+    assert ker.dim == cols - len(ref_pivots)
+    assert not _ref_matmul(m, ker.basis.T, p).any()
+    assert _ref_rref(ker.basis, p)[1] == ker.pivots
+
+
+@exact
+@given(p=st.sampled_from(PRIMES), dim=st.integers(0, 5), ambient=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), extreme=st.booleans())
+def test_reduce_matches_python_integers(p, dim, ambient, seed, extreme):
+    rng = np.random.default_rng(seed)
+    s = Subspace.from_rows(_operand(rng, p, (dim, ambient), extreme), ambient, p)
+    v = _operand(rng, p, (6, ambient), extreme)
+    want = [[int(x) for x in row] for row in v]
+    for row in want:
+        for i, c in enumerate(s.pivots):
+            f = row[c]
+            row[:] = [(a - f * int(b)) % p for a, b in zip(row, s.basis[i])]
+    assert s.reduce(v).tolist() == want
+    inside = _ref_matmul(_operand(rng, p, (6, s.dim), extreme), s.basis, p)
+    assert not s.reduce(inside).any()
+    assert all(s.contains_vector(w) for w in inside)
+
+
+@exact
+@given(p=st.sampled_from(PRIMES), ambient=st.integers(1, 7), ds=st.integers(0, 5),
+       dt=st.integers(0, 5), shared=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       extreme=st.booleans())
+def test_intersect_matches_python_integers(p, ambient, ds, dt, shared, seed, extreme):
+    rng = np.random.default_rng(seed)
+    common = _operand(rng, p, (shared, ambient), extreme)
+    s_rows = np.vstack([common, _operand(rng, p, (ds, ambient), extreme)])
+    t_rows = np.vstack([_ref_matmul(_operand(rng, p, (shared, shared), extreme), common, p),
+                        _operand(rng, p, (dt, ambient), extreme)])
+    s, t = Subspace.from_rows(s_rows, ambient, p), Subspace.from_rows(t_rows, ambient, p)
+    meet = s.intersect(t)
+    rank_sum = len(_ref_rref(np.vstack([s.basis, t.basis]), p)[1])
+    assert meet.dim == s.dim + t.dim - rank_sum
+    for w in (s, t):
+        assert len(_ref_rref(np.vstack([w.basis, meet.basis]), p)[1]) == w.dim
+
+
+def _ref_inverse(m, p):
+    d = len(m)
+    aug, pivots = _ref_rref(np.hstack([m, np.eye(d, dtype=np.int64)]), p)
+    assert pivots[:d] == list(range(d))
+    return np.array([row[d:] for row in aug], dtype=np.int64)
+
+
+def test_regular_cube_in_a_random_basis_at_the_largest_prime():
+    a = build_nakayama(1, 1, P_MAX)  # F[x]/(x^2)
+    d = 3 * a.dim
+    action = np.zeros((a.dim, d, d), dtype=np.int64)
+    for b in range(3):
+        action[:, 2 * b:2 * b + 2, 2 * b:2 * b + 2] = regular_module(a).action
+    rng = np.random.default_rng(3)
+    q = _operand(rng, P_MAX, (d, d), extreme=False)
+    q_inv = _ref_inverse(q, P_MAX)
+    conjugated = np.array([_ref_matmul(_ref_matmul(q_inv, g, P_MAX), q, P_MAX) for g in action])
+    v = Module(a, conjugated)
+    assert len(hom_space(v, v)) == 9 * a.dim  # End(A^3) = M_3(A)
+
+
+def test_contains_vector_has_no_false_negatives_at_the_largest_prime():
+    rng = np.random.default_rng(0)
+    s = Subspace.from_rows(_operand(rng, P_MAX, (4, 8), extreme=False), 8, P_MAX)
+    assert s.dim == 4
+    probes = _ref_matmul(_operand(rng, P_MAX, (100, 4), extreme=False), s.basis, P_MAX)
+    assert all(s.contains_vector(v) for v in probes)
+
+
+def test_nakayama_family_at_the_largest_prime():
+    k, ell = 2, 2
+    a = build_nakayama(k, ell, P_MAX)
+    for check in (verify_main_theorem, verify_landrock, verify_nakayama_identity,
+                  verify_adjunction, verify_duality_lemmas):
+        assert check(a).status == "pass", check.__name__
+    projectives = [projective(a, j) for j in range(k)]
+    assert layer_table(projectives, "radical") == expected_delta_table(k, ell)
+    for j in range(k):
+        shifted = projectives[expected_nakayama_shift(k, ell, j)]
+        assert find_isomorphism(nakayama(projectives[j]), shifted).status == "yes"
