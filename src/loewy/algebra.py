@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import PrimeField, Subspace, kernel, matmul_mod, rref
+from .linalg import PrimeField, Subspace, kernel, matmul_mod, rank, rref
 
 __all__ = [
     "Arrow",
@@ -212,9 +212,12 @@ class _Presentation:
     def build(self) -> "Algebra":
         """Stage two: the structure tensor on the surviving paths, verified."""
         truncation = self.truncation
-        proj, _ = self.ideal.quotient_maps()  # n_paths x dim reduction map
+        n_paths = len(self.paths)
         pivot_set = set(self.ideal.pivots)
-        basis_paths = [q for i, q in enumerate(self.paths) if i not in pivot_set]
+        free = [i for i in range(n_paths) if i not in pivot_set]
+        # n_paths x dim: coordinates of each path modulo the ideal.
+        proj = self.ideal.reduce(np.eye(n_paths, dtype=np.int64))[:, free]
+        basis_paths = [self.paths[i] for i in free]
         dim = len(basis_paths)
         labels = [_path_label(q, self.quiver) for q in basis_paths]
         lengths = np.array([len(q.arrows) for q in basis_paths], dtype=np.int64)
@@ -241,9 +244,7 @@ class _Presentation:
         )
 
 
-def build_path_algebra(
-    quiver: Quiver, relations, truncation: int, p: int = 5, *, _max_dim: int | None = None
-) -> "Algebra":
+def build_path_algebra(quiver: Quiver, relations, truncation: int, p: int = 5) -> "Algebra":
     """Build FQ / (<relations> + R**truncation) over GF(p).
 
     Args:
@@ -252,16 +253,11 @@ def build_path_algebra(
         truncation: N >= 1; all paths of length >= N are killed.  N >= 2 is
             required when relations are present.
         p: prime field modulus.
-        _max_dim: for the corpus generator: a larger quotient raises
-            ValueError before its structure tensor is built.
 
     Returns:
         the finite-dimensional Algebra, verified fail-fast.
     """
-    presentation = _Presentation(quiver, relations, truncation, p)
-    if _max_dim is not None and presentation.dim > _max_dim:
-        raise ValueError(f"dimension {presentation.dim} exceeds {_max_dim}")
-    return presentation.build()
+    return _Presentation(quiver, relations, truncation, p).build()
 
 
 class Algebra:
@@ -486,7 +482,7 @@ def is_symmetric(a: Algebra, seed: int = 0) -> SymmetryResult:
         return SymmetryResult("no")
     lam = matmul_mod(c, cand.basis, p)
     gram = matmul_mod(t, lam, p)
-    if len(rref(gram, p)[1]) != d:
+    if rank(gram, p) != d:
         raise RuntimeError("the symmetrizing form found has a degenerate Gram matrix")
     return SymmetryResult("yes", lam)
 

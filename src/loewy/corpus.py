@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import Algebra, Arrow, Quiver, build_path_algebra
 from .nakayama import build_nakayama
-from .specfile import spec_to_algebra
+from .specfile import _presentation, spec_to_algebra
 
 __all__ = [
     "linear_quiver_algebra",
@@ -33,11 +33,12 @@ def linear_quiver_algebra(m: int, truncation: int, p: int = 5) -> Algebra:
 
 
 def _random_path(rng, out_arrows, length: int):
-    """A uniformly grown path of the exact length, or None if stuck."""
+    """A uniformly grown path of the exact length with its (start, end)
+    vertices, or None if stuck."""
     starts = [v for v in out_arrows if out_arrows[v]]
     if not starts:
         return None
-    v = starts[int(rng.integers(0, len(starts)))]
+    start = v = starts[int(rng.integers(0, len(starts)))]
     path = []
     for _ in range(length):
         choices = out_arrows[v]
@@ -46,7 +47,7 @@ def _random_path(rng, out_arrows, length: int):
         name, tgt = choices[int(rng.integers(0, len(choices)))]
         path.append(name)
         v = tgt
-    return path, v
+    return path, (start, v)
 
 
 def random_quiver_spec(rng: np.random.Generator, p: int = 5, dim_cap: int = _DIM_CAP) -> dict:
@@ -81,17 +82,13 @@ def _random_presentation(rng: np.random.Generator, p: int, dim_cap: int) -> tupl
                 first = _random_path(rng, out_arrows, length)
                 if first is None:
                     continue
-                path1, _ = first
+                path1, ends1 = first
                 terms = [{"coeff": int(rng.integers(1, p)), "path": path1}]
                 # try to extend to a two-term relation with a parallel path
                 second = _random_path(rng, out_arrows, int(rng.integers(2, truncation)))
                 if second is not None:
-                    path2, _ = second
-                    src1 = next(a["source"] for a in arrows if a["name"] == path1[0])
-                    src2 = next(a["source"] for a in arrows if a["name"] == path2[0])
-                    tgt1 = next(a["target"] for a in arrows if a["name"] == path1[-1])
-                    tgt2 = next(a["target"] for a in arrows if a["name"] == path2[-1])
-                    if (src1, tgt1) == (src2, tgt2) and path1 != path2:
+                    path2, ends2 = second
+                    if ends1 == ends2 and path1 != path2:
                         terms.append({"coeff": int(rng.integers(1, p)), "path": path2})
                 relations.append(terms)
         spec = {
@@ -101,7 +98,10 @@ def _random_presentation(rng: np.random.Generator, p: int, dim_cap: int) -> tupl
             "truncation": truncation,
         }
         try:
-            return spec, spec_to_algebra(spec, _max_dim=dim_cap)
+            if _presentation(spec).dim > dim_cap:
+                continue
+            # Built through spec_to_algebra, whose calls bench/spans.py counts as draws.
+            return spec, spec_to_algebra(spec)
         except ValueError:
             continue
     raise RuntimeError("random presentation rejected too many times")

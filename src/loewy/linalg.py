@@ -51,12 +51,6 @@ class PrimeField:
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return pow(a, self.p - 2, self.p)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -185,6 +179,7 @@ class Subspace:
         return v[0] if squeeze else v
 
     def contains_vector(self, v: np.ndarray) -> bool:
+        """Whether the row vector v, or every row of a 2-D v, lies in this subspace."""
         return not self.reduce(v).any()
 
     def contains(self, other: "Subspace") -> bool:
@@ -212,11 +207,6 @@ class Subspace:
                 f"({other.ambient}, p={other.p})"
             )
 
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        rows = np.vstack([self.basis, other.basis])
-        return Subspace.from_rows(rows, self.ambient, self.p)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         if self.dim == 0 or other.dim == 0:
@@ -226,26 +216,6 @@ class Subspace:
         combos = kernel(m, self.p)
         rows = matmul_mod(combos.basis[:, : self.dim], self.basis, self.p)
         return Subspace.from_rows(rows, self.ambient, self.p)
-
-    def quotient_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates on F^ambient / self.
-
-        Returns (proj, section): proj is ambient x q, section is q x ambient,
-        q = ambient - dim, and section·proj is the identity on quotient
-        coordinates.
-        """
-        d, p = self.ambient, self.p
-        pivot_set = set(self.pivots)
-        free = [j for j in range(d) if j not in pivot_set]
-        proj = np.zeros((d, len(free)), dtype=np.int64)
-        for i, c in enumerate(self.pivots):
-            proj[c] = (-self.basis[i, free]) % p
-        for t, f in enumerate(free):
-            proj[f, t] = 1
-        section = np.zeros((len(free), d), dtype=np.int64)
-        for t, f in enumerate(free):
-            section[t, f] = 1
-        return proj, section
 
 
 def complement_basis(top: Subspace, bot: Subspace) -> np.ndarray:

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import Algebra, _nonvanishing_combination
-from .linalg import Subspace, complement_basis, kernel, matmul_mod, rref
+from .linalg import Subspace, complement_basis, kernel, matmul_mod, rank, rref
 
 __all__ = [
     "Module",
@@ -156,8 +156,11 @@ class ModuleMap:
         return np.array_equal(lhs, rhs)
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self followed by other."""
-        if other.source is not self.target and other.source.dim != self.target.dim:
+        """self followed by other.  The middle modules must be one object, or
+        have equal actions over one algebra, as rewrapped series quotients do."""
+        mid, start = self.target, other.source
+        if start is not mid and not (start.algebra is mid.algebra
+                                     and np.array_equal(start.action, mid.action)):
             raise ValueError("maps do not compose")
         return ModuleMap(self.source, other.target,
                          matmul_mod(self.matrix, other.matrix, self.source.algebra.p))
@@ -165,7 +168,7 @@ class ModuleMap:
     def is_isomorphism(self) -> bool:
         if self.source.dim != self.target.dim:
             return False
-        return len(rref(self.matrix, self.source.algebra.p)[1]) == self.source.dim
+        return rank(self.matrix, self.source.algebra.p) == self.source.dim
 
     def __repr__(self) -> str:
         return f"ModuleMap({self.source.dim} -> {self.target.dim})"
@@ -208,15 +211,12 @@ def subquotient(v: Module, top: Subspace, bot: Subspace) -> SubquotientModule:
         if w.ambient != d or w.p != p:
             raise ValueError("subspace does not live in the module's coordinate space")
         moved = matmul_mod(w.basis, generators, p)  # (generators, w.dim, d)
-        if w.dim and moved.size and w.reduce(moved.reshape(-1, d)).any():
+        if w.dim and moved.size and not w.contains_vector(moved.reshape(-1, d)):
             raise ValueError("subspace is not invariant under the algebra action")
     lift = complement_basis(top, bot)  # raises unless bot <= top
     # lift is in reduced echelon form: each row's first nonzero is its pivot.
     piv_c = [int(np.flatnonzero(row)[0]) for row in lift]
-    reducer = np.eye(d, dtype=np.int64)
-    for j, pc in enumerate(bot.pivots):
-        reducer[pc] = (reducer[pc] - bot.basis[j]) % p
-    proj = reducer[:, piv_c]
+    proj = bot.reduce(np.eye(d, dtype=np.int64))[:, piv_c]
     action = matmul_mod(matmul_mod(lift, v.action, p), proj, p)  # (dimA, q, q)
     return SubquotientModule(v.algebra, action, v, top, bot, lift, proj)
 

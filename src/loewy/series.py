@@ -40,12 +40,9 @@ from .modules import (
 )
 
 __all__ = [
-    "LoewySeries",
     "LayerTable",
     "socle_n",
     "radical_n",
-    "socle_series",
-    "radical_series",
     "capital_n",
     "socle_submodule",
     "socle_layer",
@@ -58,18 +55,6 @@ __all__ = [
     "dual_layer_iso",
     "layer_table",
 ]
-
-_KINDS = ("radical", "socle")
-
-
-@dataclass(eq=False)
-class LoewySeries:
-    """A full filtration 0 = term[0] <= ... <= term[L] (socle kind) or the
-    descending radical chain term[n] = rad^n V (radical kind)."""
-
-    kind: str
-    terms: list[Subspace]
-
 
 @dataclass(eq=False)
 class LayerTable:
@@ -89,11 +74,6 @@ class LayerTable:
 
     def cartan(self) -> np.ndarray:
         return self.table.sum(axis=2)
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
 
 
 def socle_n(v: Module, n: int) -> Subspace:
@@ -135,21 +115,14 @@ def _image(v: Module, n: int) -> Subspace:
     return Subspace.from_rows(_rad_action(v, n).reshape(-1, v.dim), v.dim, v.algebra.p)
 
 
-def socle_series(v: Module) -> LoewySeries:
-    L = v.algebra.loewy_length
-    return LoewySeries("socle", [socle_n(v, n) for n in range(L + 1)])
-
-
-def radical_series(v: Module) -> LoewySeries:
-    L = v.algebra.loewy_length
-    return LoewySeries("radical", [radical_n(v, n) for n in range(L + 1)])
+_TERMS = {"radical": radical_n, "socle": socle_n}
 
 
 def _series_quotient(v: Module, kind: str, upper: int, lower: int) -> SubquotientModule:
     """W_upper / W_lower for the terms W_n = rad^n V (radical kind) or
     soc^n V (socle kind), built by subquotient once per module and pair
     of terms."""
-    term = radical_n if kind == "radical" else socle_n
+    term = _TERMS[kind]
     top, bot = term(v, upper), term(v, lower)
     if (top, bot) in v._subquotients:
         action, lift, proj = v._subquotients[top, bot]
@@ -197,7 +170,7 @@ def socle_map(f: ModuleMap, n: int) -> ModuleMap:
     tgt = socle_submodule(f.target, n)
     p = f.source.algebra.p
     moved = matmul_mod(src.lift, f.matrix, p)
-    if not tgt.top.contains(Subspace.from_rows(moved, f.target.dim, p)):
+    if not tgt.top.contains_vector(moved):
         raise ValueError("map does not carry the socle into the socle")
     return ModuleMap(src, tgt, matmul_mod(moved, tgt.proj, p))
 
@@ -217,7 +190,7 @@ def adjunction_forward(f: ModuleMap, n: int) -> ModuleMap:
         raise ValueError(f"source of f is not the capital at level n={n}")
     target = socle_submodule(f.target, n)
     through = matmul_mod(src.proj, f.matrix, p)  # parent -> W coordinates
-    if not target.top.contains(Subspace.from_rows(through, f.target.dim, p)):
+    if not target.top.contains_vector(through):
         raise ValueError("image does not lie in the n-th socle")
     return ModuleMap(parent, target, matmul_mod(through, target.proj, p))
 
@@ -302,13 +275,14 @@ def layer_table(family: list[Module], kind: str) -> LayerTable:
     read off the cached terms rad^n V (radical kind) or soc^n V (socle
     kind); no layer module is built.
     """
-    _check_kind(kind)
+    if kind not in _TERMS:
+        raise ValueError(f"kind must be one of {tuple(_TERMS)}, got {kind!r}")
     if not family:
         raise ValueError("family must not be empty")
     a = family[0].algebra
     if any(v.algebra is not a for v in family):
         raise ValueError("family members live over different algebras")
-    term = radical_n if kind == "radical" else socle_n
+    term = _TERMS[kind]
     p, L = a.p, a.loewy_length
     dims = np.array([
         [[rank(matmul_mod(term(v, n).basis, v.action[j], p), p) for n in range(L + 1)]

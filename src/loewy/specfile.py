@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .algebra import Algebra, Arrow, Quiver, Relation, build_path_algebra
+from .algebra import Algebra, Arrow, Quiver, Relation, _Presentation
 
 __all__ = [
     "SpecFileError",
@@ -72,12 +72,9 @@ def validate_spec(spec) -> dict:
     return spec
 
 
-def spec_to_algebra(spec: dict, *, _max_dim: int | None = None) -> Algebra:
-    """Build the algebra described by a validated spec dict.
-
-    _max_dim is for the corpus generator: a presentation whose quotient is
-    larger raises SpecFileError before its structure tensor is built.
-    """
+def _presentation(spec: dict) -> _Presentation:
+    """The validated presentation of a spec, before its structure tensor
+    is built, so the corpus generator can reject it on its dimension."""
     validate_spec(spec)
     try:
         quiver = Quiver(
@@ -88,8 +85,16 @@ def spec_to_algebra(spec: dict, *, _max_dim: int | None = None) -> Algebra:
             Relation(tuple((term["coeff"], tuple(term["path"])) for term in rel))
             for rel in spec["relations"]
         ]
-        return build_path_algebra(quiver, relations, spec["truncation"], spec["field"]["p"],
-                                  _max_dim=_max_dim)
+        return _Presentation(quiver, relations, spec["truncation"], spec["field"]["p"])
+    except ValueError as exc:
+        raise SpecFileError(str(exc)) from exc
+
+
+def spec_to_algebra(spec: dict) -> Algebra:
+    """Build the algebra described by a validated spec dict."""
+    presentation = _presentation(spec)
+    try:
+        return presentation.build()
     except ValueError as exc:
         raise SpecFileError(str(exc)) from exc
 

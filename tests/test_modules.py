@@ -11,6 +11,7 @@ from loewy import (
     a_dual,
     build_nakayama,
     build_path_algebra,
+    capital_n,
     f_dual,
     f_dual_map,
     find_isomorphism,
@@ -92,6 +93,24 @@ def test_hom_space_closed_under_composition(a3):
         for g in hom_space(reg, i2):
             h = f.compose(g)  # constructor re-checks intertwining
             assert h.source is p0 and h.target is i2
+
+
+def test_compose_rejects_a_different_middle_module():
+    a = build_nakayama(2, 1)
+    s0, s1 = simple(a, 0), simple(a, 1)
+    id_s1 = ModuleMap(s1, s1, np.eye(1, dtype=np.int64))
+    for scalar in (0, 1):
+        with pytest.raises(ValueError, match="maps do not compose"):
+            ModuleMap(s0, s0, np.full((1, 1), scalar)).compose(id_s1)
+
+
+def test_compose_accepts_rewrapped_series_quotients(n32):
+    p0 = projective(n32, 0)
+    first, again = capital_n(p0, 2), capital_n(p0, 2)
+    assert first is not again
+    f = hom_space(p0, first)[0]
+    h = f.compose(ModuleMap(again, again, np.eye(again.dim, dtype=np.int64)))
+    assert h.source is p0 and h.target is again
 
 
 def test_module_map_rejects_non_intertwiner(n32):
