@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import PrimeField, Subspace, kernel, matmul_mod, rank, rref
+from .linalg import PrimeField, Subspace, kernel, matmul_mod, radical_chain, rank, rref
 
 __all__ = [
     "Arrow",
@@ -312,10 +312,12 @@ class Algebra:
         self.one = self.idempotents.sum(axis=0) % self.p
         self._verify_structure()
 
-        self.radical = Subspace.from_rows(
-            np.eye(self.dim, dtype=np.int64)[k:], self.dim, self.p
-        )
-        self._radical_chain = self._compute_radical_chain()
+        # rad^n A = rad^{n-1} A * (arrow blocks) reaches 0 iff rad A is nilpotent.
+        right_mult = self._block_actions(self.table.transpose(1, 0, 2))  # on A_A
+        self._radical_chain = radical_chain(right_mult, self.p)
+        if self._radical_chain[-1].dim:
+            raise ValueError("radical chain fails to shrink")
+        self.radical = self._radical_chain[1]
         self.loewy_length = len(self._radical_chain) - 1
 
     # -- construction-time checks -------------------------------------------------
@@ -357,23 +359,6 @@ class Algebra:
             if not np.array_equal(lhs, matmul_mod(r_g, t, p)):  # [a, b] = a*(b*g)
                 raise ValueError("associativity check failed")
 
-    def _compute_radical_chain(self) -> list[Subspace]:
-        chain = [Subspace.full(self.dim, self.p)]
-        right_mult = self.table[:, self.num_vertices:, :].transpose(1, 0, 2)
-        current = self.radical
-        while current.dim > 0:
-            chain.append(current)
-            if len(chain) > self.dim + 1:
-                raise ValueError("radical is not nilpotent")
-            rows = matmul_mod(current.basis, right_mult, self.p).reshape(-1, self.dim)
-            nxt = Subspace.from_rows(rows, self.dim, self.p)
-            if nxt.dim >= current.dim and current.dim > 0:
-                raise ValueError("radical chain fails to shrink")
-            current = nxt
-        chain.append(Subspace.zero(self.dim, self.p))
-        # chain[n] = rad^n for n <= loewy_length
-        return chain
-
     def radical_power(self, n: int) -> Subspace:
         """The subspace rad^n, with rad^0 the whole algebra."""
         if n < 0:
@@ -390,12 +375,18 @@ class Algebra:
         with e_s * g * e_t != 0: one pair per arrow, its source and target,
         on a path basis."""
         k, p, t, d = self.num_vertices, self.p, self.table, self.dim
-        times_idempotents = t[:, :k].reshape(d, k * d)  # [f, (t, :)] = f * e_t
-        ends = []
-        for g in self.generator_indices()[k:]:
-            sandwiched = matmul_mod(t[:k, g], times_idempotents, p).reshape(k, k, d)  # [s, t, :]
-            ends += [(int(g), int(s), int(e)) for s, e in np.argwhere(sandwiched.any(axis=2))]
-        return ends
+        arrows = self.generator_indices()[k:]
+        # [g, s, (t, :)] = e_s * g * e_t, from [g, s, :] = e_s * g and [f, (t, :)] = f * e_t
+        sandwiched = matmul_mod(t[:k, arrows].transpose(1, 0, 2), t[:, :k].reshape(d, k * d), p)
+        nonzero = sandwiched.reshape(len(arrows), k, k, d).any(axis=3)
+        return [(int(arrows[i]), int(s), int(e)) for i, s, e in np.argwhere(nonzero)]
+
+    def _block_actions(self, action: np.ndarray) -> np.ndarray:
+        """The matrices of the blocks e_s * g * e_t of arrow_ends on a module with
+        this action tensor.  Products of consecutive blocks span rad A, so the
+        blocks generate it as a left and as a right ideal."""
+        g, s, t = np.array(self.arrow_ends, dtype=np.int64).reshape(-1, 3).T
+        return matmul_mod(matmul_mod(action[s], action[g], self.p), action[t], self.p)
 
     def opposite(self) -> "Algebra":
         """The opposite algebra, sharing labels and basis order; an involution.

@@ -23,6 +23,8 @@ __all__ = [
     "kernel",
     "complement_basis",
     "matmul_mod",
+    "radical_chain",
+    "socle_chain",
 ]
 
 
@@ -230,3 +232,31 @@ def complement_basis(top: Subspace, bot: Subspace) -> np.ndarray:
     reduced = bot.reduce(top.basis)
     r, pivots = rref(reduced, top.p)
     return r[: len(pivots)].copy()
+
+
+def radical_chain(mats: np.ndarray, p: int) -> list[Subspace]:
+    """W_0 = F^d, W_n = span(W_{n-1}·M) over the d x d matrices M in mats,
+    listed while they shrink: the last term is 0 or the one they stop at."""
+    d = mats.shape[-1]
+    chain = [Subspace.full(d, p)]
+    while chain[-1].dim:
+        nxt = Subspace.from_rows(matmul_mod(chain[-1].basis, mats, p).reshape(-1, d), d, p)
+        if nxt == chain[-1]:
+            break
+        chain.append(nxt)
+    return chain
+
+
+def socle_chain(mats: np.ndarray, p: int) -> list[Subspace]:
+    """S_0 = 0, S_n = {x : x·M in S_{n-1} for every M in mats}, listed while
+    they grow: the last term is F^d or the one they stop at."""
+    d = mats.shape[-1]
+    chain = [Subspace.zero(d, p)]
+    while chain[-1].dim < d:
+        # x·M lies in S exactly when x·(M modulo S, row by row) is 0.
+        residues = chain[-1].reduce(mats.reshape(-1, d)).reshape(mats.shape)
+        nxt = kernel(residues.transpose(0, 2, 1).reshape(-1, d), p)
+        if nxt == chain[-1]:
+            break
+        chain.append(nxt)
+    return chain

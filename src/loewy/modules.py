@@ -63,12 +63,9 @@ class Module:
             raise ValueError(f"action tensor has shape {self.action.shape}")
         self.dim = self.action.shape[1]
         self.action.flags.writeable = False
-        # rad^n V and soc^n V by level n, filled by series.radical_n and
-        # series.socle_n; the verified action, lift and proj of the
-        # subquotient of each pair of those terms, filled by series; and
-        # the two duals, filled by f_dual and a_dual.
-        self._radicals: dict[int, Subspace] = {}
-        self._socles: dict[int, Subspace] = {}
+        # Filled by series: each series by kind, and the verified subquotient
+        # of each pair of terms as (action, lift, proj); the duals by f_dual and a_dual.
+        self._series: dict[str, list[Subspace]] = {}
         self._subquotients: dict[tuple[Subspace, Subspace], tuple] = {}
         self._f_dual: Module | None = None
         self._a_dual: ADualModule | None = None

@@ -1,15 +1,14 @@
 """Socle and radical series, layers, and the maps relating them to duals.
 
-For a right module V the two filtrations are computed from the radical
-powers of the algebra: rad^n V = V * rad^n A and soc^n V is the joint
-kernel of the action of rad^n A.  Each level takes one product of the
-action tensor with a basis of rad^n A and is computed once per module:
-the terms are cached on the Module, keyed by n clipped to the Loewy
-length L (rad^n V = 0 and soc^n V = V for n >= L).  Modules and their
-subspaces are never changed after construction, so layers, capitals,
-socle submodules, the adjunction and the duality maps all read the same
-cached terms, and layer_table counts the simples in each layer from
-them as dim(W e_j) without building the layer.  Layers are explicit
+For a right module V, rad^n V is the span of rad^{n-1} V * g and soc^n V
+holds the x with x * g in soc^{n-1} V, over the arrow blocks
+g = e_s * (arrow) * e_t, which generate rad A on both sides.  Each
+whole series is computed once per module by linalg.radical_chain or
+linalg.socle_chain and kept on it as a list, indexed clipped to its
+end.  Modules and their subspaces never change after construction, so
+layers, capitals, socle submodules, the adjunction and the duality maps
+all read the same terms, and layer_table counts the simples in each
+layer as dim(W e_j) without building the layer.  Layers are explicit
 subquotient modules that remember projection/section coordinate maps
 into the parent, which makes the capital/socle adjunction and the two
 duality isomorphisms exact matrix identities rather than approximate
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Subspace, kernel, matmul_mod, rank
+from .linalg import Subspace, matmul_mod, radical_chain, rank, socle_chain
 from .modules import (
     Module,
     ModuleMap,
@@ -78,41 +77,23 @@ class LayerTable:
 
 def socle_n(v: Module, n: int) -> Subspace:
     """The subspace soc^n V = {x : x * rad^n A = 0}; soc^0 V = 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    n = min(n, v.algebra.loewy_length)
-    if n not in v._socles:
-        v._socles[n] = _annihilator(v, n)
-    return v._socles[n]
+    return _term(v, "socle", n)
 
 
 def radical_n(v: Module, n: int) -> Subspace:
     """The subspace rad^n V = V * rad^n A; rad^0 V = V."""
+    return _term(v, "radical", n)
+
+
+def _term(v: Module, kind: str, n: int) -> Subspace:
+    """The n-th term of v's radical or socle series, clipped to the last."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    n = min(n, v.algebra.loewy_length)
-    if n not in v._radicals:
-        v._radicals[n] = _image(v, n)
-    return v._radicals[n]
-
-
-def _rad_action(v: Module, n: int) -> np.ndarray:
-    """The action matrices of a basis of rad^n A, one (dim rad^n A, d, d) product."""
-    a = v.algebra
-    flat = matmul_mod(a.radical_power(n).basis, v.action.reshape(a.dim, -1), a.p)
-    return flat.reshape(-1, v.dim, v.dim)
-
-
-def _annihilator(v: Module, n: int) -> Subspace:
-    if n == 0 or v.dim == 0:
-        return Subspace.zero(v.dim, v.algebra.p)
-    return kernel(_rad_action(v, n).transpose(0, 2, 1).reshape(-1, v.dim), v.algebra.p)
-
-
-def _image(v: Module, n: int) -> Subspace:
-    if n == 0 or v.dim == 0:
-        return Subspace.full(v.dim, v.algebra.p)
-    return Subspace.from_rows(_rad_action(v, n).reshape(-1, v.dim), v.dim, v.algebra.p)
+    terms = v._series.get(kind)
+    if terms is None:
+        chain = radical_chain if kind == "radical" else socle_chain
+        terms = v._series[kind] = chain(v.algebra._block_actions(v.action), v.algebra.p)
+    return terms[min(n, len(terms) - 1)]
 
 
 _TERMS = {"radical": radical_n, "socle": socle_n}

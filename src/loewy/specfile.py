@@ -41,34 +41,38 @@ def _require(cond: bool, msg: str) -> None:
         raise SpecFileError(msg)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true/false load as bool
+
+
 def validate_spec(spec) -> dict:
     """Check the schema and return the spec unchanged."""
     _require(isinstance(spec, dict), "spec must be a JSON object")
     for key in ("field", "quiver", "relations", "truncation"):
         _require(key in spec, f"missing key {key!r}")
     field = spec["field"]
-    _require(isinstance(field, dict) and isinstance(field.get("p"), int),
+    _require(isinstance(field, dict) and _is_int(field.get("p")),
              "field must be an object with an integer 'p'")
     quiver = spec["quiver"]
-    _require(isinstance(quiver, dict) and isinstance(quiver.get("vertices"), int),
+    _require(isinstance(quiver, dict) and _is_int(quiver.get("vertices")),
              "quiver must be an object with an integer 'vertices'")
     arrows = quiver.get("arrows")
     _require(isinstance(arrows, list), "quiver.arrows must be a list")
     for a in arrows:
         _require(isinstance(a, dict), "each arrow must be an object")
         _require(isinstance(a.get("name"), str), "arrow name must be a string")
-        _require(isinstance(a.get("source"), int) and isinstance(a.get("target"), int),
+        _require(_is_int(a.get("source")) and _is_int(a.get("target")),
                  "arrow endpoints must be integers")
     _require(isinstance(spec["relations"], list), "relations must be a list")
     for rel in spec["relations"]:
         _require(isinstance(rel, list) and rel, "each relation must be a non-empty list")
         for term in rel:
             _require(isinstance(term, dict), "each relation term must be an object")
-            _require(isinstance(term.get("coeff"), int), "relation coeff must be an integer")
+            _require(_is_int(term.get("coeff")), "relation coeff must be an integer")
             path = term.get("path")
             _require(isinstance(path, list) and all(isinstance(x, str) for x in path),
                      "relation path must be a list of arrow names")
-    _require(isinstance(spec["truncation"], int), "truncation must be an integer")
+    _require(_is_int(spec["truncation"]), "truncation must be an integer")
     return spec
 
 
@@ -139,4 +143,7 @@ def load_spec(path) -> dict:
 
 def dump_spec(spec: dict, path) -> None:
     validate_spec(spec)
-    Path(path).write_text(spec_text(spec))
+    try:
+        Path(path).write_text(spec_text(spec))
+    except OSError as exc:
+        raise SpecFileError(f"cannot write {path}: {exc}") from exc

@@ -11,7 +11,7 @@ from loewy import (
     is_symmetric,
     linear_quiver_algebra,
 )
-from loewy.linalg import PrimeField
+from loewy.linalg import PrimeField, Subspace
 
 P = 5
 
@@ -118,6 +118,16 @@ def test_radical_chain_of_truncated_polynomials():
     assert loop.radical_power(99).dim == 0
     assert loop.radical_power(1).contains_vector(_unit(1, 3))
     assert loop.radical_power(2).contains_vector(_unit(2, 3))
+
+
+def test_radical_chain_on_a_basis_that_is_not_of_paths(a3, a3_rebased):
+    b, q = a3_rebased
+    assert b.arrow_ends == [(3, 0, 1), (3, 0, 2), (4, 1, 2)]
+    assert b.loewy_length == a3.loewy_length
+    for n in range(a3.loewy_length + 2):
+        # a vector x in the new coordinates is x·q in the old ones
+        carried = Subspace.from_rows(b.radical_power(n).basis @ q, b.dim, b.p)
+        assert carried == a3.radical_power(n)
 
 
 def test_left_and_right_mult_matrices(n22):
@@ -263,6 +273,15 @@ def test_table_not_generated_in_length_one_is_rejected():
     t[2, 2, 3] = t[3, 2, 4] = 1
     with pytest.raises(ValueError, match="do not generate"):
         Algebra(PrimeField(P), t, ["e0", "x", "y", "z", "w"], np.array([0, 1, 2, 2, 3]), 1)
+
+
+def test_non_nilpotent_radical_is_rejected():
+    # Basis e, x with x * x = x: the identity, idempotent, degree-zero,
+    # generation and associativity checks all pass, but rad^n = F x for all n.
+    t = np.zeros((2, 2, 2), dtype=np.int64)
+    t[0, 0, 0] = t[0, 1, 1] = t[1, 0, 1] = t[1, 1, 1] = 1
+    with pytest.raises(ValueError, match="radical chain fails to shrink"):
+        Algebra(PrimeField(P), t, ["e0", "x"], np.array([0, 1]), 1)
 
 
 def test_describe_mentions_shape(n32):

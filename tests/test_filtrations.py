@@ -1,16 +1,18 @@
 """The cached radical and socle series against a per-element reference.
 
-socle_n and radical_n compute each level once per module, with one product
-by a basis of rad^n A, and keep it on the module.  The reference below is
-the direct method: one action matrix per basis element of rad^n A, stacked
-and row-reduced on every call.  It checks the cached terms subspace for
-subspace, over every module a checker builds.  layer_table reads its
-multiplicities off those terms as dim(W e_j); the reference for it counts
-Hom between each layer module and the simples.  The same file pins the
-corpus reports and the large-prime CLI output, so neither can change a
-single evidence row or byte of stdout, checks that counting layers builds
-no layer module, and checks the batched Module verification and that an
-algebra and its opposite are freed without the cycle collector.
+socle_n and radical_n compute each whole series once per module, by the
+recursion over the arrow blocks e_s * g * e_t, and keep it on the module.
+The reference below is the direct method: one action matrix per basis
+element of rad^n A, stacked and row-reduced on every call.  It checks the
+cached terms subspace for subspace, over every module a checker builds,
+also on a basis that is not of paths, where an arrow has two blocks.
+layer_table reads its multiplicities off those terms as dim(W e_j); the
+reference for it counts Hom between each layer module and the simples.
+The same file pins the corpus reports and the large-prime CLI output, so
+neither can change a single evidence row or byte of stdout, checks that
+counting layers builds no layer module, and checks the batched Module
+verification and that an algebra and its opposite are freed without the
+cycle collector.
 """
 
 import gc
@@ -127,6 +129,10 @@ def _assert_series_match_reference(a):
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_series_match_reference_on_nakayama(k, ell):
     _assert_series_match_reference(build_nakayama(k, ell))
+
+
+def test_series_match_reference_on_a_basis_that_is_not_of_paths(a3_rebased):
+    _assert_series_match_reference(a3_rebased[0])
 
 
 def test_series_match_reference_with_relations(corpus0):

@@ -3,10 +3,12 @@
 A name in loewy.__all__ passes when it is referenced as a name or an
 attribute (not in a string, not in an import) in a package module other
 than __init__.py, outside its own def or class; or referenced the same
-way in the benchmark scripts; or named in backticks in README.md.
+way in the benchmark scripts; or named in backticks in README.md.  Every
+function the benchmark tracer wraps must exist, where it looks for it.
 """
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -62,3 +64,20 @@ def test_references_skip_strings_imports_and_own_definition(tmp_path):
         "    return called(), obj.attr, 'in_string'\n"
     )
     assert _references(source) == {"called", "obj", "attr"}
+
+
+def test_every_benchmark_trace_target_exists():
+    # bench/spans.py reads each target with vars(owner)[attr] in
+    # Tracer.install, so a deleted name breaks `bench/run.py --trace 1`.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for mod_name, path, _, _ in spans.TARGETS:
+        owner = importlib.import_module(f"loewy.{mod_name}")
+        *cls_path, attr = path.split(".")
+        for part in cls_path:
+            owner = vars(owner).get(part)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"loewy.{mod_name}.{path}")
+    assert not missing, f"traced by bench/spans.py, but missing: {missing}"

@@ -206,6 +206,36 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "k,mutate",
+    [
+        (2, lambda s: s["field"].update(p=True)),
+        (1, lambda s: s["quiver"].update(vertices=True)),
+        (2, lambda s: s["quiver"]["arrows"][0].update(source=True)),
+        (2, lambda s: s["quiver"]["arrows"][0].update(target=True)),
+        (2, lambda s: s.__setitem__("relations", [[{"coeff": True, "path": ["a0", "a1"]}]])),
+        (2, lambda s: s.__setitem__("truncation", True)),
+    ],
+    ids=["p", "vertices", "source", "target", "coeff", "truncation"],
+)
+def test_json_booleans_are_not_integers(tmp_path, capsys, k, mutate):
+    # json.loads reads true as True, an int subclass equal to 1.
+    spec = nakayama_spec(k, 2)
+    mutate(spec)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(spec))
+    assert main(["table", "--algebra", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_emit_to_an_unwritable_path_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["emit-nakayama", "--k", "2", "--l", "1", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SpecFileError):
+        dump_spec(nakayama_spec(2, 1), out)
+
+
 def test_verify_adjunction_exact_at_large_prime(tmp_path, capsys):
     # At p = 33554393 a product of three matrices exceeds int64 unless it is
     # reduced mod p between the two factors; this presentation and seed hit
