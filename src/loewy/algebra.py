@@ -457,8 +457,7 @@ def is_symmetric(a: Algebra, seed: int = 0) -> SymmetryResult:
     p, d, k, t = a.p, a.dim, a.num_vertices, a.table
     diffs = (t - t.transpose(1, 0, 2)).reshape(d * d, d) % p
     cand = kernel(diffs, p)  # forms vanishing on commutators, as rows
-    # soc(A_A): the x with x * r = 0 for every radical basis element r.
-    socle = kernel(t[:, k:, :].transpose(1, 2, 0).reshape((d - k) * d, d), p)
+    socle = _right_socle(a)
     lines = []
     for j in range(k):
         part = Subspace.from_rows(matmul_mod(socle.basis, t[:, j, :], p), d, p)  # soc(A_A) e_j
@@ -476,6 +475,13 @@ def is_symmetric(a: Algebra, seed: int = 0) -> SymmetryResult:
     if rank(gram, p) != d:
         raise RuntimeError("the symmetrizing form found has a degenerate Gram matrix")
     return SymmetryResult("yes", lam)
+
+
+def _right_socle(a: Algebra) -> Subspace:
+    """soc(A_A), the x with x * g = 0 for every arrow block g: the first
+    step of linalg.socle_chain on A_A, without the later ones."""
+    blocks = a._block_actions(a.table.transpose(1, 0, 2))  # right multiplications
+    return kernel(blocks.transpose(0, 2, 1).reshape(-1, a.dim), a.p)
 
 
 # The enumeration in _nonvanishing_combination handles this many points at once.

@@ -90,9 +90,9 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     Returns (r, pivots) where r has unit leading entries, zeros above and
     below each pivot, and pivots lists the pivot columns in order.  Zero
-    rows sink to the bottom.
+    rows sink to the bottom.  m itself is never written to.
     """
-    r = np.array(m, dtype=np.int64) % p
+    r = np.asarray(m, dtype=np.int64) % p  # a new array
     if r.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {r.shape}")
     nrows, ncols = r.shape
@@ -101,16 +101,18 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for col in range(ncols):
         if lead == nrows:
             break
-        nz = np.nonzero(r[lead:, col])[0]
-        if nz.size == 0:
+        nz = r[lead:, col].nonzero()[0]
+        if not nz.size:
             continue
         i = lead + int(nz[0])
         if i != lead:
             r[[lead, i]] = r[[i, lead]]
-        r[lead] = (r[lead] * pow(int(r[lead, col]), p - 2, p)) % p
-        others = np.nonzero(r[:, col])[0]
-        others = others[others != lead]
-        if others.size:
+        pivot = int(r[lead, col])
+        if pivot != 1:
+            r[lead] = r[lead] * pow(pivot, p - 2, p) % p
+        others = r[:, col].nonzero()[0]
+        if others.size > 1:  # the pivot row is always one of them
+            others = others[others != lead]
             r[others] = (r[others] - np.outer(r[others, col], r[lead])) % p
         pivots.append(col)
         lead += 1

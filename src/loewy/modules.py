@@ -24,7 +24,6 @@ every module built over it are freed by reference counting alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,9 +63,11 @@ class Module:
         self.dim = self.action.shape[1]
         self.action.flags.writeable = False
         # Filled by series: each series by kind, and the verified subquotient
-        # of each pair of terms as (action, lift, proj); the duals by f_dual and a_dual.
+        # of each pair of terms as (action, lift, proj, _vertex_blocks); the
+        # duals by f_dual and a_dual; the vertex blocks by _vertex_spaces.
         self._series: dict[str, list[Subspace]] = {}
         self._subquotients: dict[tuple[Subspace, Subspace], tuple] = {}
+        self._vertex_blocks: dict[str, list[Subspace]] = {}
         self._f_dual: Module | None = None
         self._a_dual: ADualModule | None = None
         if check:
@@ -89,20 +90,29 @@ class Module:
                 f"action is not multiplicative against basis element {a.labels[g]!r}"
             )
 
-    # Per-vertex blocks for hom_space, computed once: nothing reassigns
-    # action after __init__.
-    @cached_property
+    # Per-vertex blocks for hom_space and layer_table, computed once per
+    # action: nothing reassigns action after __init__, and series shares
+    # _vertex_blocks among the wrappers of one cached subquotient.
+    def _vertex_spaces(self, side: str) -> list[Subspace]:
+        spaces = self._vertex_blocks.get(side)
+        if spaces is None:
+            idempotents = self.action[: self.algebra.num_vertices]
+            if side == "columns":
+                idempotents = idempotents.transpose(0, 2, 1)
+            spaces = [Subspace.from_rows(e, self.dim, self.algebra.p) for e in idempotents]
+            self._vertex_blocks[side] = spaces
+        return spaces
+
+    @property
     def _vertex_rows(self) -> list[Subspace]:
         """V e_i, the row space of action[i], for each vertex i."""
-        idempotents = self.action[: self.algebra.num_vertices]
-        return [Subspace.from_rows(e, self.dim, self.algebra.p) for e in idempotents]
+        return self._vertex_spaces("rows")
 
-    @cached_property
+    @property
     def _vertex_columns(self) -> list[Subspace]:
         """The column space of action[i] for each vertex i, which holds the
         columns of action[i]·F for every map F out of this module."""
-        idempotents = self.action[: self.algebra.num_vertices]
-        return [Subspace.from_rows(e.T, self.dim, self.algebra.p) for e in idempotents]
+        return self._vertex_spaces("columns")
 
     def act(self, x: np.ndarray) -> np.ndarray:
         """Action matrix of an arbitrary algebra element (row convention)."""
@@ -147,9 +157,13 @@ class ModuleMap:
             raise ValueError("matrix does not intertwine the algebra actions")
 
     def _intertwines(self) -> bool:
-        p = self.source.algebra.p
-        lhs = matmul_mod(self.source.action, self.matrix, p)
-        rhs = matmul_mod(self.matrix, self.target.action, p)
+        """Whether the matrix commutes with the idempotents and arrows.  Their
+        products span A, so this is exact for multiplicative actions, as in
+        subquotient."""
+        a = self.source.algebra
+        gens = a.generator_indices()
+        lhs = matmul_mod(self.source.action[gens], self.matrix, a.p)
+        rhs = matmul_mod(self.matrix, self.target.action[gens], a.p)
         return np.array_equal(lhs, rhs)
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":

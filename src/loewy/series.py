@@ -7,8 +7,10 @@ whole series is computed once per module by linalg.radical_chain or
 linalg.socle_chain and kept on it as a list, indexed clipped to its
 end.  Modules and their subspaces never change after construction, so
 layers, capitals, socle submodules, the adjunction and the duality maps
-all read the same terms, and layer_table counts the simples in each
-layer as dim(W e_j) without building the layer.  Layers are explicit
+all read the same terms.  layer_table counts the simples in each layer
+as dim(W e_j) - dim(W' e_j) without building the layer: in graded
+coordinates, which put each V e_j on its own block of columns, one
+elimination of a term W counts every dim(W e_j).  Layers are explicit
 subquotient modules that remember projection/section coordinate maps
 into the parent, which makes the capital/socle adjunction and the two
 duality isomorphisms exact matrix identities rather than approximate
@@ -17,10 +19,11 @@ constructions.
 Layers, capitals and socle submodules are quotients W/W' of two terms
 of one series, and each pair of terms is built and verified by
 subquotient once per module, whichever series and levels name it.  The
-module keeps only the verified read-only data (action, lift, proj) keyed
-by the pair (W, W'), never the subquotient itself, which holds its
-parent; later requests wrap that data in a new SubquotientModule without
-checking it again.
+module keeps only the verified read-only data (action, lift, proj) and
+the subquotient's per-vertex blocks, keyed by the pair (W, W'), never
+the subquotient itself, which holds its parent; later requests wrap that
+data in a new SubquotientModule without checking or eliminating it
+again.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Subspace, matmul_mod, radical_chain, rank, socle_chain
+from .linalg import Subspace, matmul_mod, radical_chain, rref, socle_chain
 from .modules import (
     Module,
     ModuleMap,
@@ -85,14 +88,20 @@ def radical_n(v: Module, n: int) -> Subspace:
     return _term(v, "radical", n)
 
 
-def _term(v: Module, kind: str, n: int) -> Subspace:
-    """The n-th term of v's radical or socle series, clipped to the last."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def _series(v: Module, kind: str) -> list[Subspace]:
+    """v's whole radical or socle series, computed once."""
     terms = v._series.get(kind)
     if terms is None:
         chain = radical_chain if kind == "radical" else socle_chain
         terms = v._series[kind] = chain(v.algebra._block_actions(v.action), v.algebra.p)
+    return terms
+
+
+def _term(v: Module, kind: str, n: int) -> Subspace:
+    """The n-th term of v's radical or socle series, clipped to the last."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    terms = _series(v, kind)
     return terms[min(n, len(terms) - 1)]
 
 
@@ -106,10 +115,12 @@ def _series_quotient(v: Module, kind: str, upper: int, lower: int) -> Subquotien
     term = _TERMS[kind]
     top, bot = term(v, upper), term(v, lower)
     if (top, bot) in v._subquotients:
-        action, lift, proj = v._subquotients[top, bot]
-        return SubquotientModule(v.algebra, action, v, top, bot, lift, proj, check=False)
+        action, lift, proj, blocks = v._subquotients[top, bot]
+        sub = SubquotientModule(v.algebra, action, v, top, bot, lift, proj, check=False)
+        sub._vertex_blocks = blocks
+        return sub
     sub = subquotient(v, top, bot)
-    v._subquotients[top, bot] = (sub.action, sub.lift, sub.proj)
+    v._subquotients[top, bot] = (sub.action, sub.lift, sub.proj, sub._vertex_blocks)
     return sub
 
 
@@ -252,9 +263,9 @@ def layer_table(family: list[Module], kind: str) -> LayerTable:
     n runs from 1 to the algebra's Loewy length.  A layer W/W' of either
     series is semisimple, and over a basic algebra End(S_j) = F, so
     dim Hom(W/W', S_j) = dim Hom(S_j, W/W') = dim(W e_j) - dim(W' e_j).
-    Each dim(W e_j) is the rank of W's basis times the action of e_j,
-    read off the cached terms rad^n V (radical kind) or soc^n V (socle
-    kind); no layer module is built.
+    The dim(W e_j) are counted by _vertex_dims on the cached terms
+    rad^n V (radical kind) or soc^n V (socle kind); no layer module is
+    built.
     """
     if kind not in _TERMS:
         raise ValueError(f"kind must be one of {tuple(_TERMS)}, got {kind!r}")
@@ -263,12 +274,26 @@ def layer_table(family: list[Module], kind: str) -> LayerTable:
     a = family[0].algebra
     if any(v.algebra is not a for v in family):
         raise ValueError("family members live over different algebras")
-    term = _TERMS[kind]
-    p, L = a.p, a.loewy_length
-    dims = np.array([
-        [[rank(matmul_mod(term(v, n).basis, v.action[j], p), p) for n in range(L + 1)]
-         for j in range(a.num_vertices)]
-        for v in family
-    ], dtype=np.int64)
+    L = a.loewy_length
+    dims = np.array([_vertex_dims(v, kind, L) for v in family], dtype=np.int64)
     steps = np.diff(dims, axis=2)  # rad^n V shrinks with n, soc^n V grows
     return LayerTable(kind, -steps if kind == "radical" else steps, L)
+
+
+def _vertex_dims(v: Module, kind: str, levels: int) -> np.ndarray:
+    """dims[j][n] = dim(W_n e_j) for the terms W_n, n = 0 .. levels, of v's
+    series of this kind, with one elimination per distinct term.
+
+    In the graded coordinates x·graded = ((x e_j)[pivots of V e_j])_j, each
+    V e_j lands injectively on its own block of columns.  A term W is a
+    submodule, so W is the direct sum of the W e_j, and the reduced echelon
+    form of W·graded is the union of the blocks' forms: its pivots in
+    block j number dim(W e_j).
+    """
+    p = v.algebra.p
+    rows = v._vertex_rows
+    graded = np.hstack([e[:, r.pivots] for e, r in zip(v.action, rows)])  # d x d
+    block = np.repeat(np.arange(len(rows)), [r.dim for r in rows])  # block of each column
+    counts = [np.bincount(block[rref(matmul_mod(w.basis, graded, p), p)[1]], minlength=len(rows))
+              for w in _series(v, kind)]
+    return np.array([counts[min(n, len(counts) - 1)] for n in range(levels + 1)]).T

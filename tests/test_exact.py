@@ -12,16 +12,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loewy import (
+    Arrow,
     Module,
+    Quiver,
+    Relation,
+    a_dual,
     build_nakayama,
+    build_path_algebra,
     expected_delta_table,
     expected_nakayama_shift,
+    f_dual,
     find_isomorphism,
     hom_space,
     layer_table,
     nakayama,
     projective,
+    radical_n,
     regular_module,
+    socle_n,
     verify_adjunction,
     verify_duality_lemmas,
     verify_landrock,
@@ -110,14 +118,38 @@ def test_matmul_mod_long_inner_dimension(p, inner):
     assert np.array_equal(matmul_mod(x, y, p), _ref_matmul(x, y, p))
 
 
-@exact
-@given(p=st.sampled_from(PRIMES), rows=st.integers(0, 7), cols=st.integers(1, 7),
-       seed=st.integers(0, 2**32 - 1), extreme=st.booleans())
-def test_rref_and_kernel_match_python_integers(p, rows, cols, seed, extreme):
-    rng = np.random.default_rng(seed)
-    m = _operand(rng, p, (rows, cols), extreme)
-    if rows > 1:
+STRUCTURES = ["dependent", "sparse 0/1", "reduced", "repeated rows", "unit pivots",
+              "out of range"]
+
+
+def _structured(rng, p, shape, extreme, structure):
+    """A matrix of the given structure; rref shortcuts pivots that are 1,
+    pivot columns with no other nonzero, and entries already in [0, p)."""
+    rows, cols = shape
+    m = _operand(rng, p, shape, extreme)
+    if structure == "dependent" and rows > 1:
         m[-1] = _ref_matmul(_operand(rng, p, (rows - 1,), extreme), m[:-1], p)
+    elif structure == "sparse 0/1":
+        m = (rng.random(shape) < 0.3).astype(np.int64)
+    elif structure == "reduced":
+        m = np.array(_ref_rref(m, p)[0], dtype=np.int64).reshape(shape)
+    elif structure == "repeated rows" and rows:
+        m = m[rng.integers(0, max(1, rows // 2), size=rows)]
+    elif structure == "unit pivots":
+        for i, lead in enumerate(rng.integers(0, cols, size=rows)):
+            m[i, :lead], m[i, lead] = 0, 1
+    elif structure == "out of range":
+        m = rng.integers(-3 * p, 3 * p, size=shape, dtype=np.int64)
+    return m
+
+
+@settings(exact, max_examples=240)
+@given(p=st.sampled_from(PRIMES), rows=st.integers(0, 7), cols=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1), extreme=st.booleans(),
+       structure=st.sampled_from(STRUCTURES))
+def test_rref_and_kernel_match_python_integers(p, rows, cols, seed, extreme, structure):
+    rng = np.random.default_rng(seed)
+    m = _structured(rng, p, (rows, cols), extreme, structure)
     r, pivots = rref(m, p)
     ref, ref_pivots = _ref_rref(m, p)
     assert pivots == ref_pivots
@@ -126,6 +158,20 @@ def test_rref_and_kernel_match_python_integers(p, rows, cols, seed, extreme):
     assert ker.dim == cols - len(ref_pivots)
     assert not _ref_matmul(m, ker.basis.T, p).any()
     assert _ref_rref(ker.basis, p)[1] == ker.pivots
+
+
+@pytest.mark.parametrize("p", [5, P_MAX])
+def test_rref_leaves_a_read_only_argument_unchanged(p):
+    rng = np.random.default_rng(p)
+    basis = Subspace.from_rows(_operand(rng, p, (4, 6), extreme=False), 6, p).basis
+    raw = rng.integers(-p, 2 * p, size=(5, 6), dtype=np.int64)
+    raw.flags.writeable = False
+    for m in (basis, raw):  # reduced and in [0, p), then neither
+        before = m.copy()
+        r, pivots = rref(m, p)
+        assert np.array_equal(m, before) and not m.flags.writeable
+        assert r.flags.writeable and not np.shares_memory(r, m)
+        assert (r.tolist(), pivots) == _ref_rref(m, p)
 
 
 @exact
@@ -204,3 +250,36 @@ def test_nakayama_family_at_the_largest_prime():
     for j in range(k):
         shifted = projectives[expected_nakayama_shift(k, ell, j)]
         assert find_isomorphism(nakayama(projectives[j]), shifted).status == "yes"
+
+
+def _rebased(v, rng):
+    """v in a random basis, as a checked Module: actions q^-1 M q."""
+    p = v.algebra.p
+    while True:
+        q = _operand(rng, p, (v.dim, v.dim), extreme=False)
+        if len(_ref_rref(q, p)[1]) == v.dim:
+            break
+    q_inv = _ref_inverse(q, p)
+    return Module(v.algebra, [_ref_matmul(_ref_matmul(q_inv, g, p), q, p) for g in v.action])
+
+
+@pytest.mark.parametrize("p", [2, 5, P_MAX])
+def test_layer_table_matches_python_ranks_in_bases_not_adapted_to_the_vertices(p):
+    # Two vertices, a double arrow, a loop and a two-term relation: dim 13.
+    quiver = Quiver(2, [Arrow("a0", 1, 0), Arrow("a1", 1, 0), Arrow("a2", 1, 1),
+                        Arrow("a3", 0, 1)])
+    a = build_path_algebra(quiver, [Relation.of((1, ["a2", "a1"]), (1, ["a2", "a0"]))], 3, p)
+    rng = np.random.default_rng(p)
+    regular = _rebased(regular_module(a), rng)
+    p1 = projective(a, 1)
+    sum_action = np.zeros((a.dim, 2 * p1.dim, 2 * p1.dim), dtype=np.int64)
+    sum_action[:, :p1.dim, :p1.dim] = sum_action[:, p1.dim:, p1.dim:] = p1.action
+    modules = [regular, a_dual(regular), f_dual(regular), _rebased(Module(a, sum_action), rng)]
+    for v in modules:
+        for kind, term in (("radical", radical_n), ("socle", socle_n)):
+            # dims[j][n] = dim(term_n e_j), by Python-int ranks
+            dims = np.array([[len(_ref_rref(_ref_matmul(term(v, n).basis, e, p), p)[1])
+                              for n in range(a.loewy_length + 1)] for e in v.action[:2]])
+            steps = np.diff(dims, axis=1)
+            want = -steps if kind == "radical" else steps
+            assert np.array_equal(layer_table([v], kind).table[0], want), (v, kind)

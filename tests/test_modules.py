@@ -25,7 +25,7 @@ from loewy import (
     simple,
     submodule,
 )
-from loewy.linalg import Subspace, rank, rref
+from loewy.linalg import Subspace, kernel, rank, rref
 
 P = 5
 LARGE_P = 33554393
@@ -119,6 +119,31 @@ def test_module_map_rejects_non_intertwiner(n32):
     bad = np.ones((p0.dim, 1), dtype=np.int64)
     with pytest.raises(ValueError):
         ModuleMap(p0, s1, bad)
+
+
+def _commutant(mats, d, p):
+    """Basis of the d x d matrices F with M F = F M for every M in mats."""
+    eye = np.eye(d, dtype=np.int64)
+    rows = [np.kron(m, eye) - np.kron(eye, m.T) for m in mats]
+    return kernel(np.concatenate(rows) % p, p).basis.reshape(-1, d, d)
+
+
+@pytest.mark.parametrize("name", ["kronecker", "a3", "n22"])
+def test_module_map_rejects_a_matrix_that_misses_one_arrow(name, a3, n22):
+    # _intertwines tests only the idempotents and arrows.  For each arrow,
+    # some matrix commutes with every other generator, and with every
+    # product of them, yet not with that arrow; it must be rejected.
+    kronecker = build_path_algebra(Quiver(2, [Arrow("a", 0, 1), Arrow("b", 0, 1)]), [], 2, P)
+    alg = {"kronecker": kronecker, "a3": a3, "n22": n22}[name]
+    reg = regular_module(alg)
+    gens = list(alg.generator_indices())
+    for g in gens[alg.num_vertices:]:
+        others = [reg.action[h] for h in gens if h != g]
+        missing = [f for f in _commutant(others, reg.dim, alg.p)
+                   if ((reg.action[g] @ f - f @ reg.action[g]) % alg.p).any()]
+        assert missing, alg.labels[g]
+        with pytest.raises(ValueError, match="does not intertwine"):
+            ModuleMap(reg, reg, missing[0])
 
 
 def test_module_verification_catches_broken_action(n22):

@@ -4,9 +4,9 @@ The standard modules are cached weakly on their algebra, a_dual and
 f_dual on their module, and the verified data of every layer, capital
 and socle submodule on its parent.  These tests check that repeated
 requests return the shared result, that what is shared cannot be
-written, that run_corpus builds each subquotient once, that subquotient
-still rejects what it must, and that an algebra and every module cached
-over it are freed by reference counting alone.
+written, that run_corpus builds each subquotient and its vertex blocks
+once, that subquotient still rejects what it must, and that an algebra
+and every module cached over it are freed by reference counting alone.
 """
 
 import gc
@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from loewy import (
+    Module,
+    SubquotientModule,
     a_dual,
     build_nakayama,
     capital_n,
@@ -133,6 +135,28 @@ def test_run_corpus_builds_each_subquotient_once(monkeypatch):
     assert [r.status for r in reports] == ["pass", "unknown"]
     keys = [(id(v), top, bot) for v, top, bot in built]
     assert keys and len(set(keys)) == len(keys)
+
+
+def test_run_corpus_eliminates_the_vertex_blocks_of_each_subquotient_once(monkeypatch):
+    original = Module._vertex_spaces
+    computed = []
+
+    def counting(v, side):
+        if side not in v._vertex_blocks:
+            # holding v keeps the ids distinct
+            key = (id(v.parent), v.top, v.bot) if isinstance(v, SubquotientModule) else id(v)
+            computed.append((v, key, side))
+        return original(v, side)
+
+    monkeypatch.setattr(Module, "_vertex_spaces", counting)
+    reports = run_corpus([("nakayama-k3-l3", build_nakayama(3, 3)),
+                          ("relations", spec_to_algebra(RELATIONS_SPEC))])
+    assert [r.status for r in reports] == ["pass", "unknown"]
+    keys = [(key, side) for _, key, side in computed]
+    assert keys and len(set(keys)) == len(keys)
+    # A rewrapped series quotient reads the blocks of the first build.
+    v = projective(build_nakayama(2, 3), 0)
+    assert radical_layer(v, 2)._vertex_rows is radical_layer(v, 2)._vertex_rows
 
 
 def test_algebra_and_its_cached_modules_are_freed_without_the_cycle_collector():

@@ -75,9 +75,14 @@ def decide(a):
     return res.status
 
 
-def test_agrees_with_enumeration():
-    algebras = [a for _, a in default_corpus(seed=2)]
-    algebras += [build_nakayama(k, ell) for k in range(1, 5) for ell in range(1, 5)]
+@pytest.fixture(scope="module")
+def algebras():
+    """default_corpus(seed=2) and the Nakayama algebras with k, ell <= 4."""
+    return ([a for _, a in default_corpus(seed=2)]
+            + [build_nakayama(k, ell) for k in range(1, 5) for ell in range(1, 5)])
+
+
+def test_agrees_with_enumeration(algebras):
     compared = 0
     for a in algebras:
         want = reference_status(a)
@@ -103,11 +108,21 @@ def test_corpus_seed0_is_decided(corpus0):
         assert statuses[f"random-{t:02d}"] in ("yes", "no")
 
 
-def _socle_lines(a):
-    """dim soc(A_A) e_j for each vertex j, from x * r = 0 on radical r."""
+def _reference_socle(a):
+    """soc(A_A) as the x with x * r = 0 for every radical basis element r."""
     p, d, k, t = a.p, a.dim, a.num_vertices, a.table
-    socle = kernel(t[:, k:, :].transpose(1, 2, 0).reshape((d - k) * d, d), p)
-    return [len(rref(socle.basis @ t[:, j, :] % p, p)[1]) for j in range(k)]
+    return kernel(t[:, k:, :].transpose(1, 2, 0).reshape((d - k) * d, d), p)
+
+
+def _socle_lines(a):
+    """dim soc(A_A) e_j for each vertex j."""
+    socle, p, t = _reference_socle(a), a.p, a.table
+    return [len(rref(socle.basis @ t[:, j, :] % p, p)[1]) for j in range(a.num_vertices)]
+
+
+def test_socle_from_the_arrow_blocks_is_the_socle_from_the_radical(algebras, a3_rebased):
+    for a in algebras + [a3_rebased[0]]:  # the last is not on a path basis
+        assert algebra_module._right_socle(a) == _reference_socle(a)
 
 
 def test_no_when_the_socle_repeats_or_misses_a_simple(monkeypatch):
