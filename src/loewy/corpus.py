@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import Algebra, Arrow, Quiver, build_path_algebra
+from .linalg import PrimeField
 from .nakayama import build_nakayama
 from .specfile import _presentation, spec_to_algebra
 
@@ -63,7 +64,9 @@ def _random_presentation(rng: np.random.Generator, p: int, dim_cap: int) -> tupl
     """random_quiver_spec together with the algebra built to accept it.
 
     A draw is rejected on the dimension of its relation quotient, before
-    any structure tensor is built for it."""
+    any structure tensor is built for it.  p is checked once, before any
+    draw: a ValueError while building a draw only rejects that draw."""
+    PrimeField(p)
     for _ in range(500):
         k = int(rng.integers(1, 5))
         n_arrows = int(rng.integers(1, 7))

@@ -19,6 +19,9 @@ some caller holds it.  Each module keeps its f_dual and a_dual, and
 series.py keeps the data of its layers, capitals and socle submodules on
 it.  None of these caches points back at its owner, so an algebra and
 every module built over it are freed by reference counting alone.
+
+Each module keeps one vertex basis (Module._vertex_basis), on which
+hom_space solves, layer_table counts and find_isomorphism reads tops.
 """
 
 from __future__ import annotations
@@ -63,11 +66,12 @@ class Module:
         self.dim = self.action.shape[1]
         self.action.flags.writeable = False
         # Filled by series: each series by kind, and the verified subquotient
-        # of each pair of terms as (action, lift, proj, _vertex_blocks); the
-        # duals by f_dual and a_dual; the vertex blocks by _vertex_spaces.
+        # of each pair of terms as (action, lift, proj, _vertex); the duals by
+        # f_dual and a_dual; the vertex basis by _vertex_basis, into a list
+        # that series can share among wrappers before it is filled.
         self._series: dict[str, list[Subspace]] = {}
         self._subquotients: dict[tuple[Subspace, Subspace], tuple] = {}
-        self._vertex_blocks: dict[str, list[Subspace]] = {}
+        self._vertex: list[tuple[list[Subspace], list[np.ndarray]]] = []
         self._f_dual: Module | None = None
         self._a_dual: ADualModule | None = None
         if check:
@@ -90,29 +94,20 @@ class Module:
                 f"action is not multiplicative against basis element {a.labels[g]!r}"
             )
 
-    # Per-vertex blocks for hom_space and layer_table, computed once per
-    # action: nothing reassigns action after __init__, and series shares
-    # _vertex_blocks among the wrappers of one cached subquotient.
-    def _vertex_spaces(self, side: str) -> list[Subspace]:
-        spaces = self._vertex_blocks.get(side)
-        if spaces is None:
-            idempotents = self.action[: self.algebra.num_vertices]
-            if side == "columns":
-                idempotents = idempotents.transpose(0, 2, 1)
-            spaces = [Subspace.from_rows(e, self.dim, self.algebra.p) for e in idempotents]
-            self._vertex_blocks[side] = spaces
-        return spaces
-
-    @property
-    def _vertex_rows(self) -> list[Subspace]:
-        """V e_i, the row space of action[i], for each vertex i."""
-        return self._vertex_spaces("rows")
-
-    @property
-    def _vertex_columns(self) -> list[Subspace]:
-        """The column space of action[i] for each vertex i, which holds the
-        columns of action[i]·F for every map F out of this module."""
-        return self._vertex_spaces("columns")
+    def _vertex_basis(self) -> tuple[list[Subspace], list[np.ndarray]]:
+        """(R, C): R[i] = V e_i and C[i] = action[i][:, R[i].pivots] for each
+        vertex i, so action[i] = C[i]·R[i].basis and R[j].basis·C[i] is 1 if
+        j == i, else 0.  Computed once per action, which nothing reassigns;
+        series shares _vertex among the wrappers of one cached subquotient."""
+        if not self._vertex:
+            p = self.algebra.p
+            rows = [Subspace.from_rows(e, self.dim, p)
+                    for e in self.action[: self.algebra.num_vertices]]
+            cols = [e[:, r.pivots] for e, r in zip(self.action, rows)]
+            for c in cols:
+                c.flags.writeable = False
+            self._vertex.append((rows, cols))
+        return self._vertex[0]
 
     def act(self, x: np.ndarray) -> np.ndarray:
         """Action matrix of an arbitrary algebra element (row convention)."""
@@ -283,42 +278,40 @@ def f_dual_map(f: ModuleMap) -> ModuleMap:
 def hom_space(u: Module, v: Module) -> list[ModuleMap]:
     """Basis of Hom(u, v), canonical for the given coordinate systems.
 
-    Solved vertex by vertex.  An intertwiner F commutes with every
-    idempotent, so F = sum_i C_i^T P_i R_i, where the rows of C_i span the
-    column space of u.action[i], the rows of R_i span V e_i and each P_i is
-    a free dim(U e_i) x dim(V e_i) block of parameters.  Only the arrows
-    constrain the blocks: an arrow g with e_s g e_t != 0 asks X P_t = P_s Y,
-    where X and Y are g from block s to block t in u and in v.  The longer
-    basis elements are products of generators, so this assumes the action
-    is multiplicative, which Module checks and the functors preserve.  One
-    kernel over all arrow constraints gives the parameters; mapped back to
-    matrices and row-reduced they give the reduced row-echelon basis of the
-    space of intertwiners, flattened row-major.
+    Solved on the vertex bases (R_i, C_i) of Module._vertex_basis.  An
+    intertwiner F commutes with every idempotent, so F = sum_i C_i(u) P_i
+    R_i(v), where P_i = R_i(u) F C_i(v) is a free dim(U e_i) x dim(V e_i)
+    block of parameters.  Only the arrows constrain the blocks: an arrow g
+    with e_s g e_t != 0 asks X P_t = P_s Y, where X = R_s(u) g C_t(u) and
+    Y = R_s(v) g C_t(v).  The longer basis elements are products of
+    generators, so this assumes the action is multiplicative, which Module
+    checks and the functors preserve.  One kernel over all arrow
+    constraints gives the parameters; mapped back to matrices and
+    row-reduced they give the reduced row-echelon basis of the space of
+    intertwiners, flattened row-major.
     """
     if u.algebra is not v.algebra:
         raise ValueError("modules live over different algebras")
     a = u.algebra
     p = a.p
     du, dv = u.dim, v.dim
-    cols, rows = u._vertex_columns, v._vertex_rows
-    offsets = np.cumsum([0] + [c.dim * r.dim for c, r in zip(cols, rows)])
+    (ru, cu), (rv, cv) = u._vertex_basis(), v._vertex_basis()
+    offsets = np.cumsum([0] + [eu.dim * ev.dim for eu, ev in zip(ru, rv)])
     m = int(offsets[-1])
     if m == 0:
         return []
     constraints = []
     for g, s, t in a.arrow_ends:
-        cs, rt = cols[s].dim, rows[t].dim
+        cs, rt = ru[s].dim, rv[t].dim
         if cs * rt == 0:
             continue
+        x, y = (matmul_mod(matmul_mod(r[s].basis, w.action[g], p), c[t], p)
+                for w, r, c in ((u, ru, cu), (v, rv, cv)))
         block = np.zeros((cs, rt, m), dtype=np.int64)
         # Coefficient of P_t[c, d] in (X P_t)[a, b] is X[a, c] when b == d.
-        x = matmul_mod(matmul_mod(u.action[s][cols[s].pivots], u.action[g], p),
-                       cols[t].basis.T, p)
         block[:, :, offsets[t]:offsets[t + 1]] += np.einsum(
             "ac,bd->abcd", x, np.eye(rt, dtype=np.int64)).reshape(cs, rt, -1)
         # Coefficient of P_s[c, d] in (P_s Y)[a, b] is Y[d, b] when a == c.
-        y = matmul_mod(matmul_mod(rows[s].basis, v.action[g], p),
-                       v.action[t][:, rows[t].pivots], p)
         block[:, :, offsets[s]:offsets[s + 1]] -= np.einsum(
             "ac,db->abcd", np.eye(cs, dtype=np.int64), y).reshape(cs, rt, -1)
         constraints.append(block.reshape(cs * rt, m))
@@ -330,9 +323,9 @@ def hom_space(u: Module, v: Module) -> list[ModuleMap]:
     if n == 0:
         return []
     maps = np.zeros((n, du, dv), dtype=np.int64)
-    for i, (c, r) in enumerate(zip(cols, rows)):
-        block = params[:, offsets[i]:offsets[i + 1]].reshape(n, c.dim, r.dim)
-        maps = (maps + matmul_mod(matmul_mod(c.basis.T, block, p), r.basis, p)) % p
+    for i, (c, r) in enumerate(zip(cu, rv)):
+        block = params[:, offsets[i]:offsets[i + 1]].reshape(n, c.shape[1], r.dim)
+        maps = (maps + matmul_mod(matmul_mod(c, block, p), r.basis, p)) % p
     basis = rref(maps.reshape(-1, du * dv), p)[0]
     return [ModuleMap(u, v, row.reshape(du, dv)) for row in basis]
 
@@ -466,7 +459,7 @@ def _top_scalars(mats: np.ndarray, u: Module, v: Module) -> np.ndarray:
     p = u.algebra.p
     rad_u, rad_v = radical_n(u, 1), radical_n(v, 1)
     xs, cols = [], []
-    for eu, ev in zip(u._vertex_rows, v._vertex_rows):
+    for eu, ev in zip(u._vertex_basis()[0], v._vertex_basis()[0]):
         outside = np.nonzero(rad_u.reduce(eu.basis).any(axis=1))[0]
         if outside.size:
             xs.append(eu.basis[outside[0]])

@@ -12,6 +12,7 @@ They are symmetric exactly when k divides ell.
 from __future__ import annotations
 
 from .algebra import Algebra, Arrow, Quiver, build_path_algebra
+from .linalg import PrimeField
 from .series import LayerTable
 
 import numpy as np
@@ -47,7 +48,7 @@ def nakayama_spec(k: int, ell: int, p: int = 5) -> dict:
     """The algebra spec (file-format dict) for the same presentation."""
     _check_params(k, ell)
     return {
-        "field": {"p": int(p)},
+        "field": {"p": PrimeField(p).p},
         "quiver": {
             "vertices": int(k),
             "arrows": [

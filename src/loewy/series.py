@@ -9,21 +9,21 @@ end.  Modules and their subspaces never change after construction, so
 layers, capitals, socle submodules, the adjunction and the duality maps
 all read the same terms.  layer_table counts the simples in each layer
 as dim(W e_j) - dim(W' e_j) without building the layer: in graded
-coordinates, which put each V e_j on its own block of columns, one
-elimination of a term W counts every dim(W e_j).  Layers are explicit
-subquotient modules that remember projection/section coordinate maps
-into the parent, which makes the capital/socle adjunction and the two
-duality isomorphisms exact matrix identities rather than approximate
-constructions.
+coordinates, read off the module's vertex basis, which put each V e_j on
+its own block of columns, one elimination of a term W counts every
+dim(W e_j).  Layers are explicit subquotient modules that remember
+projection/section coordinate maps into the parent, which makes the
+capital/socle adjunction and the two duality isomorphisms exact matrix
+identities rather than approximate constructions.
 
 Layers, capitals and socle submodules are quotients W/W' of two terms
 of one series, and each pair of terms is built and verified by
 subquotient once per module, whichever series and levels name it.  The
 module keeps only the verified read-only data (action, lift, proj) and
-the subquotient's per-vertex blocks, keyed by the pair (W, W'), never
-the subquotient itself, which holds its parent; later requests wrap that
-data in a new SubquotientModule without checking or eliminating it
-again.
+the holder of the subquotient's vertex basis, keyed by the pair
+(W, W'), never the subquotient itself, which holds its parent; later
+requests wrap that data in a new SubquotientModule without checking or
+eliminating it again.
 """
 
 from __future__ import annotations
@@ -115,12 +115,12 @@ def _series_quotient(v: Module, kind: str, upper: int, lower: int) -> Subquotien
     term = _TERMS[kind]
     top, bot = term(v, upper), term(v, lower)
     if (top, bot) in v._subquotients:
-        action, lift, proj, blocks = v._subquotients[top, bot]
+        action, lift, proj, vertex = v._subquotients[top, bot]
         sub = SubquotientModule(v.algebra, action, v, top, bot, lift, proj, check=False)
-        sub._vertex_blocks = blocks
+        sub._vertex = vertex
         return sub
     sub = subquotient(v, top, bot)
-    v._subquotients[top, bot] = (sub.action, sub.lift, sub.proj, sub._vertex_blocks)
+    v._subquotients[top, bot] = (sub.action, sub.lift, sub.proj, sub._vertex)
     return sub
 
 
@@ -284,15 +284,16 @@ def _vertex_dims(v: Module, kind: str, levels: int) -> np.ndarray:
     """dims[j][n] = dim(W_n e_j) for the terms W_n, n = 0 .. levels, of v's
     series of this kind, with one elimination per distinct term.
 
-    In the graded coordinates x·graded = ((x e_j)[pivots of V e_j])_j, each
-    V e_j lands injectively on its own block of columns.  A term W is a
-    submodule, so W is the direct sum of the W e_j, and the reduced echelon
-    form of W·graded is the union of the blocks' forms: its pivots in
-    block j number dim(W e_j).
+    The graded coordinates x·graded = (x·C_j)_j, for the vertex basis
+    (R_j, C_j) of Module._vertex_basis, are the coordinates of each x e_j
+    in the basis R_j of V e_j, so each V e_j lands injectively on its own
+    block of columns.  A term W is a submodule, so W is the direct sum of
+    the W e_j, and the reduced echelon form of W·graded is the union of
+    the blocks' forms: its pivots in block j number dim(W e_j).
     """
     p = v.algebra.p
-    rows = v._vertex_rows
-    graded = np.hstack([e[:, r.pivots] for e, r in zip(v.action, rows)])  # d x d
+    rows, cols = v._vertex_basis()
+    graded = np.hstack(cols)  # d x d
     block = np.repeat(np.arange(len(rows)), [r.dim for r in rows])  # block of each column
     counts = [np.bincount(block[rref(matmul_mod(w.basis, graded, p), p)[1]], minlength=len(rows))
               for w in _series(v, kind)]

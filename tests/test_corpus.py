@@ -43,6 +43,15 @@ def test_random_spec_is_seed_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("p", [4, 1])
+def test_random_spec_rejects_a_modulus_that_is_not_prime_before_any_draw(p):
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+        random_quiver_spec(rng, p=p)
+    assert rng.bit_generator.state == state
+
+
 def test_default_corpus_layout():
     corpus = default_corpus(seed=0, random_count=2)
     names = [name for name, _ in corpus]

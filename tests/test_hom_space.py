@@ -4,13 +4,16 @@ The reference is the direct method: one Kronecker constraint
 x F - F y = 0 per basis element of the algebra, over all dim U * dim V
 entries of F, with the kernels intersected in basis order.  It needs no
 assumption about which elements generate the algebra, so it checks the
-vertex-by-vertex, arrows-only solve of hom_space matrix for matrix.
+vertex-by-vertex, arrows-only solve of hom_space matrix for matrix, also
+on an algebra whose basis is not of paths and on modules in random bases,
+whose vertex spaces are not spanned by coordinate vectors.
 """
 
 import numpy as np
 import pytest
 
 from loewy import (
+    Module,
     a_dual,
     build_nakayama,
     f_dual,
@@ -24,6 +27,7 @@ from loewy import (
     spec_to_algebra,
 )
 from loewy.linalg import kernel, rref
+from test_exact import _rebased
 
 
 def reference_hom_basis(u, v) -> np.ndarray:
@@ -79,10 +83,31 @@ def _distinct(mods):
     return out
 
 
-def _assert_matches_reference(a) -> int:
-    """Compare every ordered pair of the family; return how many Homs are 0."""
+def _rebased_family(a, rng):
+    """Over a: the projectives, the regular module and P_0 + P_1 (P_0 + P_0
+    on one vertex), each beside a copy in a random basis, and rad A / rad^2 A
+    of both regular modules.  With one vertex every basis is adapted to it,
+    so a is meant to have two or more.  Over the opposite algebra: the simples and
+    both duals of the rebased regular module and P_0 + P_1."""
+    k = a.num_vertices
+    p0, p1 = projective(a, 0), projective(a, min(1, k - 1))
+    d0 = p0.dim
+    sum_action = np.zeros((a.dim, d0 + p1.dim, d0 + p1.dim), dtype=np.int64)
+    sum_action[:, :d0, :d0], sum_action[:, d0:, d0:] = p0.action, p1.action
+    aligned = [projective(a, i) for i in range(k)] + [regular_module(a), Module(a, sum_action)]
+    rebased = [_rebased(v, rng) for v in aligned]
+    regular, summed = rebased[-2:]
+    own = aligned + rebased + [radical_layer(aligned[-2], 2), radical_layer(regular, 2)]
+    dual = [simple(a.opposite(), i) for i in range(k)]
+    dual += [f(v) for v in (regular, summed) for f in (a_dual, f_dual)]
+    return own, dual
+
+
+def _assert_matches_reference(a, families=None) -> int:
+    """Compare every ordered pair of each family, by default of _family(a);
+    return how many Homs are 0."""
     zeros = 0
-    for mods in _family(a):
+    for mods in families or _family(a):
         mods = _distinct(mods)
         for u in mods:
             for v in mods:
@@ -141,3 +166,20 @@ def test_hom_space_matches_reference_with_relations(name):
     assert a.relations
     _assert_matches_reference(a)
 
+
+
+def test_hom_space_matches_reference_on_a_basis_that_is_not_of_paths(a3_rebased):
+    a = a3_rebased[0]
+    _assert_matches_reference(a)
+    _assert_matches_reference(a, _rebased_family(a, np.random.default_rng(3)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_nakayama(2, 2),
+    lambda: build_nakayama(3, 2, 2),
+    lambda: spec_to_algebra(WITH_RELATIONS["random-09"]),
+    lambda: spec_to_algebra(WITH_RELATIONS["large-random-27"]),
+], ids=["nakayama-k2-l2", "nakayama-k3-l2-p2", "random-09", "large-random-27"])
+def test_hom_space_matches_reference_in_random_module_bases(build):
+    a = build()
+    assert _assert_matches_reference(a, _rebased_family(a, np.random.default_rng(5))) > 0

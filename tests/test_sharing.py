@@ -4,7 +4,7 @@ The standard modules are cached weakly on their algebra, a_dual and
 f_dual on their module, and the verified data of every layer, capital
 and socle submodule on its parent.  These tests check that repeated
 requests return the shared result, that what is shared cannot be
-written, that run_corpus builds each subquotient and its vertex blocks
+written, that run_corpus builds each subquotient and its vertex basis
 once, that subquotient still rejects what it must, and that an algebra
 and every module cached over it are freed by reference counting alone.
 """
@@ -138,25 +138,25 @@ def test_run_corpus_builds_each_subquotient_once(monkeypatch):
 
 
 def test_run_corpus_eliminates_the_vertex_blocks_of_each_subquotient_once(monkeypatch):
-    original = Module._vertex_spaces
+    original = Module._vertex_basis
     computed = []
 
-    def counting(v, side):
-        if side not in v._vertex_blocks:
+    def counting(v):
+        if not v._vertex:
             # holding v keeps the ids distinct
             key = (id(v.parent), v.top, v.bot) if isinstance(v, SubquotientModule) else id(v)
-            computed.append((v, key, side))
-        return original(v, side)
+            computed.append((v, key))
+        return original(v)
 
-    monkeypatch.setattr(Module, "_vertex_spaces", counting)
+    monkeypatch.setattr(Module, "_vertex_basis", counting)
     reports = run_corpus([("nakayama-k3-l3", build_nakayama(3, 3)),
                           ("relations", spec_to_algebra(RELATIONS_SPEC))])
     assert [r.status for r in reports] == ["pass", "unknown"]
-    keys = [(key, side) for _, key, side in computed]
+    keys = [key for _, key in computed]
     assert keys and len(set(keys)) == len(keys)
-    # A rewrapped series quotient reads the blocks of the first build.
+    # A rewrapped series quotient reads the vertex basis of the first build.
     v = projective(build_nakayama(2, 3), 0)
-    assert radical_layer(v, 2)._vertex_rows is radical_layer(v, 2)._vertex_rows
+    assert radical_layer(v, 2)._vertex_basis() is radical_layer(v, 2)._vertex_basis()
 
 
 def test_algebra_and_its_cached_modules_are_freed_without_the_cycle_collector():

@@ -236,6 +236,16 @@ def test_emit_to_an_unwritable_path_is_an_input_error(tmp_path, capsys):
         dump_spec(nakayama_spec(2, 1), out)
 
 
+@pytest.mark.parametrize("p", [4, 1])
+def test_emit_rejects_a_modulus_that_is_not_prime(tmp_path, capsys, p):
+    out = tmp_path / "cyclic.json"
+    assert main(["emit-nakayama", "--k", "2", "--l", "1", "--p", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: modulus {p} is not prime\n"
+    assert not out.exists()
+    with pytest.raises(ValueError, match=f"modulus {p} is not prime"):
+        nakayama_spec(2, 1, p)
+
+
 def test_verify_adjunction_exact_at_large_prime(tmp_path, capsys):
     # At p = 33554393 a product of three matrices exceeds int64 unless it is
     # reduced mod p between the two factors; this presentation and seed hit
