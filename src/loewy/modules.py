@@ -65,11 +65,13 @@ class Module:
             raise ValueError(f"action tensor has shape {self.action.shape}")
         self.dim = self.action.shape[1]
         self.action.flags.writeable = False
-        # Filled by series: each series by kind, and the verified subquotient
-        # of each pair of terms as (action, lift, proj, _vertex); the duals by
-        # f_dual and a_dual; the vertex basis by _vertex_basis, into a list
-        # that series can share among wrappers before it is filled.
+        # Filled by series: each series by kind, its terms' vertex dimensions,
+        # and the verified subquotient of each pair of terms as (action, lift,
+        # proj, _vertex); the duals by f_dual and a_dual; the vertex basis by
+        # _vertex_basis, into a list that series can share among wrappers
+        # before it is filled.
         self._series: dict[str, list[Subspace]] = {}
+        self._series_dims: dict[str, np.ndarray] = {}
         self._subquotients: dict[tuple[Subspace, Subspace], tuple] = {}
         self._vertex: list[tuple[list[Subspace], list[np.ndarray]]] = []
         self._f_dual: Module | None = None
@@ -338,9 +340,9 @@ class ADualModule(Module):
 def a_dual(v: Module) -> ADualModule:
     """Hom_A(v, A) as a right module over the opposite algebra.
 
-    The underlying space is hom_space(v, regular); the opposite action
-    post-composes a homomorphism with left multiplication.  The dual is
-    built once per module and cached on it, as f_dual is.
+    The space is hom_space(v, regular), and the opposite action composes a
+    map with left multiplication.  Checking it on the generators suffices,
+    as it is multiplicative.  Built once and cached on v, as f_dual is.
     """
     if v._a_dual is None:
         v._a_dual = _build_a_dual(v)
@@ -348,25 +350,25 @@ def a_dual(v: Module) -> ADualModule:
 
 
 def _build_a_dual(v: Module) -> ADualModule:
+    """The action read at the pivots (r_q, c_q) of the reduced basis F_b of
+    hom_space(v, regular): action[c][b, q] = (F_b table[c])[r_q, c_q], where
+    table[c] is left multiplication by c.  Closure is checked on the
+    generators only, which is exact: ADualModule checks that 1 acts as 1,
+    forcing F_b[r_q, c_q] = delta_bq, and that the action is multiplicative,
+    so it agrees with left multiplication on products of generators."""
     a = v.algebra
-    p = a.p
     maps = hom_space(v, regular_module(a))
     m = len(maps)
     if m == 0:
         return ADualModule(a.opposite(), np.zeros((a.dim, 0, 0), dtype=np.int64))
     stacked = np.array([f.matrix for f in maps], dtype=np.int64)  # (m, v.dim, a.dim)
-    flat = stacked.reshape(m, v.dim * a.dim)
-    flat_rref, piv = rref(flat, p)
-    if not np.array_equal(flat_rref[:m], flat) or len(piv) != m:
-        raise ValueError("hom basis is not in reduced echelon position")
-    action = np.zeros((a.dim, m, m), dtype=np.int64)
-    for c in range(a.dim):
-        # a.table[c] is the matrix of z -> basis_c * z on the regular module.
-        moved = matmul_mod(stacked, a.table[c], p).reshape(m, -1)
-        coords = moved[:, piv]
-        if not np.array_equal(matmul_mod(coords, flat, p), moved):
-            raise ValueError("left multiplication does not preserve the hom space")
-        action[c] = coords
+    rows, cols = np.divmod([int(np.flatnonzero(f)[0]) for f in stacked.reshape(m, -1)], a.dim)
+    action = matmul_mod(stacked[:, rows].transpose(1, 0, 2),
+                        a.table[:, :, cols].transpose(2, 1, 0), a.p).transpose(2, 1, 0).copy()
+    gens = a.generator_indices()
+    moved = matmul_mod(stacked, a.table[gens][:, None], a.p).reshape(len(gens), m, -1)
+    if not np.array_equal(moved, matmul_mod(action[gens], stacked.reshape(m, -1), a.p)):
+        raise ValueError("left multiplication does not preserve the hom space")
     return ADualModule(a.opposite(), action)
 
 

@@ -11,10 +11,11 @@ all read the same terms.  layer_table counts the simples in each layer
 as dim(W e_j) - dim(W' e_j) without building the layer: in graded
 coordinates, read off the module's vertex basis, which put each V e_j on
 its own block of columns, one elimination of a term W counts every
-dim(W e_j).  Layers are explicit subquotient modules that remember
-projection/section coordinate maps into the parent, which makes the
-capital/socle adjunction and the two duality isomorphisms exact matrix
-identities rather than approximate constructions.
+dim(W e_j), and the counts are kept on the module.  Layers are explicit
+subquotient modules that remember projection/section coordinate maps
+into the parent, which makes the capital/socle adjunction and the two
+duality isomorphisms exact matrix identities rather than approximate
+constructions.
 
 Layers, capitals and socle submodules are quotients W/W' of two terms
 of one series, and each pair of terms is built and verified by
@@ -282,7 +283,7 @@ def layer_table(family: list[Module], kind: str) -> LayerTable:
 
 def _vertex_dims(v: Module, kind: str, levels: int) -> np.ndarray:
     """dims[j][n] = dim(W_n e_j) for the terms W_n, n = 0 .. levels, of v's
-    series of this kind, with one elimination per distinct term.
+    series of this kind, eliminating each distinct term once per module.
 
     The graded coordinates x·graded = (x·C_j)_j, for the vertex basis
     (R_j, C_j) of Module._vertex_basis, are the coordinates of each x e_j
@@ -291,10 +292,13 @@ def _vertex_dims(v: Module, kind: str, levels: int) -> np.ndarray:
     the W e_j, and the reduced echelon form of W·graded is the union of
     the blocks' forms: its pivots in block j number dim(W e_j).
     """
-    p = v.algebra.p
-    rows, cols = v._vertex_basis()
-    graded = np.hstack(cols)  # d x d
-    block = np.repeat(np.arange(len(rows)), [r.dim for r in rows])  # block of each column
-    counts = [np.bincount(block[rref(matmul_mod(w.basis, graded, p), p)[1]], minlength=len(rows))
-              for w in _series(v, kind)]
-    return np.array([counts[min(n, len(counts) - 1)] for n in range(levels + 1)]).T
+    counts = v._series_dims.get(kind)
+    if counts is None:
+        p = v.algebra.p
+        rows, cols = v._vertex_basis()
+        graded = np.hstack(cols)  # d x d
+        block = np.repeat(np.arange(len(rows)), [r.dim for r in rows])  # block of each column
+        counts = v._series_dims[kind] = np.array(
+            [np.bincount(block[rref(matmul_mod(w.basis, graded, p), p)[1]], minlength=len(rows))
+             for w in _series(v, kind)])
+    return counts[np.minimum(np.arange(levels + 1), len(counts) - 1)].T

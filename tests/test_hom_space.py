@@ -6,7 +6,10 @@ entries of F, with the kernels intersected in basis order.  It needs no
 assumption about which elements generate the algebra, so it checks the
 vertex-by-vertex, arrows-only solve of hom_space matrix for matrix, also
 on an algebra whose basis is not of paths and on modules in random bases,
-whose vertex spaces are not spanned by coordinate vectors.
+whose vertex spaces are not spanned by coordinate vectors.  The action
+of a_dual is checked in the same way, against the coordinates of each
+left multiple F_b table[c] in the reference basis of Hom(v, A), solved by
+a Python-int elimination.
 """
 
 import numpy as np
@@ -27,7 +30,8 @@ from loewy import (
     spec_to_algebra,
 )
 from loewy.linalg import kernel, rref
-from test_exact import _rebased
+from test_exact import P_MAX, _rebased, _ref_matmul, _ref_rref
+from test_modules import _direct_sum
 
 
 def reference_hom_basis(u, v) -> np.ndarray:
@@ -183,3 +187,74 @@ def test_hom_space_matches_reference_on_a_basis_that_is_not_of_paths(a3_rebased)
 def test_hom_space_matches_reference_in_random_module_bases(build):
     a = build()
     assert _assert_matches_reference(a, _rebased_family(a, np.random.default_rng(5))) > 0
+
+
+def _basis_into_regular(v) -> np.ndarray:
+    """The reduced basis of Hom(v, A), flattened: reference_hom_basis, except
+    at p = 2**31 - 1, where its unreduced int64 products overflow.  There it
+    is the basis of hom_space, checked in Python integers to be in reduced
+    echelon form and to intertwine every basis element."""
+    a, p = v.algebra, v.algebra.p
+    if p != P_MAX:
+        return reference_hom_basis(v, regular_module(a))
+    maps = hom_space(v, regular_module(a))
+    basis = np.array([f.matrix for f in maps], dtype=np.int64).reshape(len(maps), v.dim * a.dim)
+    assert _ref_rref(basis, p)[0] == basis.tolist()
+    for f in maps:
+        for c in range(a.dim):
+            assert np.array_equal(_ref_matmul(v.action[c], f.matrix, p),
+                                  _ref_matmul(f.matrix, regular_module(a).action[c], p))
+    return basis
+
+
+def reference_a_dual_action(v) -> np.ndarray:
+    """action[c][b, q]: the coordinate at F_q of F_b table[c], for the basis
+    F_b of Hom(v, A) from _basis_into_regular, solved in Python integers."""
+    a, p = v.algebra, v.algebra.p
+    basis = _basis_into_regular(v)
+    m = basis.shape[0]
+    if m == 0:
+        return np.zeros((a.dim, 0, 0), dtype=np.int64)
+    moved = [_ref_matmul(f.reshape(v.dim, a.dim), a.table[c], p).reshape(-1)
+             for c in range(a.dim) for f in basis]
+    # x basis = y for every moved y at once: the columns of [basis^T | moved^T].
+    reduced, pivots = _ref_rref(np.hstack([basis.T, np.array(moved).T]), p)
+    assert pivots == list(range(m))  # the basis is independent and spans every y
+    coords = np.array([row[m:] for row in reduced[:m]], dtype=np.int64)  # [q, c * m + b]
+    return coords.T.reshape(a.dim, m, m)
+
+
+def _assert_a_dual_matches_reference(a, rng) -> list:
+    """a_dual(v).action equals the reference for the zero module, the simples,
+    projectives and injectives, the regular module, and the regular module
+    and P_0 + P_1 in random bases; returns the v with Hom(v, A) = 0."""
+    k = a.num_vertices
+    mods = [Module(a, np.zeros((a.dim, 0, 0), dtype=np.int64)), regular_module(a)]
+    mods += [f(a, i) for f in (simple, projective, injective) for i in range(k)]
+    mods += [_rebased(v, rng) for v in
+             (regular_module(a), _direct_sum(projective(a, 0), projective(a, min(1, k - 1))))]
+    zero_duals = []
+    for v in mods:
+        want = reference_a_dual_action(v)
+        got = a_dual(v)
+        assert got.algebra is a.opposite()
+        assert got.action.shape == want.shape and np.array_equal(got.action, want), v
+        if got.dim == 0:
+            zero_duals.append(v)
+    return zero_duals
+
+
+@pytest.mark.parametrize("p", [2, 5, P_MAX])
+def test_a_dual_matches_python_integers(p):
+    # Two vertices, a double arrow, a loop and a two-term relation: dim 13.
+    a = spec_to_algebra(_spec(p, 2, [("a0", 1, 0), ("a1", 1, 0), ("a2", 1, 1), ("a3", 0, 1)],
+                              [[(1, ["a2", "a1"]), (1, ["a2", "a0"])]], 3))
+    zero_duals = _assert_a_dual_matches_reference(a, np.random.default_rng(p))
+    assert [v.dim for v in zero_duals] == [0]
+
+
+def test_a_dual_matches_python_integers_on_a_basis_that_is_not_of_paths(a3_rebased):
+    a = a3_rebased[0]
+    zero_duals = _assert_a_dual_matches_reference(a, np.random.default_rng(7))
+    # soc(A_A) is S_2^3 for 0 -> 1 -> 2, so Hom(S_j, A) = 0 for j = 0, 1.
+    assert zero_duals[0].dim == 0 and simple(a, 0) in zero_duals and simple(a, 1) in zero_duals

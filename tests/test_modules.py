@@ -222,6 +222,26 @@ def test_a_dual_of_zero_module(n32):
     assert nakayama(zero).dim == 0
 
 
+def test_a_dual_rejects_a_hom_basis_that_is_not_reduced_or_not_closed(n22, monkeypatch):
+    import loewy.modules as modules
+
+    v, regular = projective(n22, 0), regular_module(n22)
+    maps = hom_space(v, regular)
+    assert len(maps) >= 2
+    # The same space, with one row added to another: not in reduced form.
+    summed = [ModuleMap(v, regular, maps[0].matrix + maps[1].matrix)] + maps[1:]
+    # The inclusion e_0 A -> A spans a line that the idempotents keep and the
+    # arrows move, so left multiplication does not preserve it.
+    inclusion = ModuleMap(v, regular, v.lift)
+    for e in range(n22.num_vertices):
+        moved = v.lift @ n22.table[e] % P  # z -> e z on each image
+        assert np.array_equal(moved, v.lift if e == 0 else np.zeros_like(moved))
+    for basis in (summed, [inclusion]):
+        monkeypatch.setattr(modules, "hom_space", lambda u, w, basis=basis: basis)
+        with pytest.raises(ValueError):
+            modules._build_a_dual(v)
+
+
 def test_nakayama_shifts_projectives():
     for k, ell in [(2, 1), (3, 2), (2, 2), (4, 2)]:
         alg = build_nakayama(k, ell)

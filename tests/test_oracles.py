@@ -1,15 +1,20 @@
-"""Theorems that hold for every basic algebra, asserted over default_corpus(seed=0)."""
+"""Theorems that hold for every basic algebra, asserted over default_corpus(seed=0),
+and the checkers on a weakly symmetric algebra that is not symmetric."""
 
 import numpy as np
+import pytest
 
 from loewy import (
     find_isomorphism,
     hom_space,
     injective,
+    is_symmetric,
     layer_table,
     nakayama,
     projective,
     regular_module,
+    run_corpus,
+    spec_to_algebra,
 )
 from loewy.linalg import rank
 
@@ -48,3 +53,30 @@ def test_cartan_matrix_from_idempotents(corpus0):
                            for i in range(k)])
         ps = [projective(a, i) for i in range(k)]
         assert np.array_equal(layer_table(ps, "radical").cartan(), cartan), name
+
+
+def _quantum_exterior_plane(q, p=5):
+    """F<x, y>/(x^2, y^2, xy - q yx) over GF(p), of dim 4 with basis 1, x, y, xy."""
+    loops = [{"name": n, "source": 0, "target": 0} for n in ("x", "y")]
+    relations = [[{"coeff": 1, "path": ["x", "x"]}], [{"coeff": 1, "path": ["y", "y"]}],
+                 [{"coeff": 1, "path": ["x", "y"]}, {"coeff": (p - q) % p, "path": ["y", "x"]}]]
+    return spec_to_algebra({"field": {"p": p}, "quiver": {"vertices": 1, "arrows": loops},
+                            "relations": relations, "truncation": 3})
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_quantum_exterior_plane_is_weakly_symmetric_and_symmetric_only_at_q_1(q):
+    # One vertex, so nu(P_0) = P_0 for every q.  The Nakayama automorphism
+    # scales x and y by q and 1/q, which for q != 1 no inner automorphism
+    # does on rad A / rad^2 A, so the algebra is not symmetric.
+    a = _quantum_exterior_plane(q)
+    assert a.dim == 4
+    assert is_symmetric(a).status == ("yes" if q == 1 else "no")
+    p0 = projective(a, 0)
+    res = find_isomorphism(nakayama(p0), p0)
+    assert res.status == "yes" and res.witness.is_isomorphism()
+    [report] = run_corpus([("quantum-exterior-plane", a)])
+    symmetric = "pass" if q == 1 else "unknown"
+    assert {c.name: c.status for c in report.checks} == {
+        "main-theorem": "pass", "landrock": symmetric, "nakayama-id": symmetric,
+        "adjunction": "pass", "duality": "pass"}

@@ -5,8 +5,9 @@ f_dual on their module, and the verified data of every layer, capital
 and socle submodule on its parent.  These tests check that repeated
 requests return the shared result, that what is shared cannot be
 written, that run_corpus builds each subquotient and its vertex basis
-once, that subquotient still rejects what it must, and that an algebra
-and every module cached over it are freed by reference counting alone.
+once, that layer_table eliminates the series of a module once, that
+subquotient still rejects what it must, and that an algebra and every
+module cached over it are freed by reference counting alone.
 """
 
 import gc
@@ -24,6 +25,7 @@ from loewy import (
     capital_n,
     f_dual,
     injective,
+    layer_table,
     linear_quiver_algebra,
     nakayama,
     projective,
@@ -157,6 +159,21 @@ def test_run_corpus_eliminates_the_vertex_blocks_of_each_subquotient_once(monkey
     # A rewrapped series quotient reads the vertex basis of the first build.
     v = projective(build_nakayama(2, 3), 0)
     assert radical_layer(v, 2)._vertex_basis() is radical_layer(v, 2)._vertex_basis()
+
+
+def test_layer_table_eliminates_the_series_of_a_module_once(monkeypatch):
+    a = spec_to_algebra(RELATIONS_SPEC)
+    family = [projective(a, i) for i in range(a.num_vertices)]
+    family += [regular_module(a), nakayama(family[0])]
+    first = {kind: layer_table(family, kind) for kind in ("radical", "socle")}
+    calls = []
+    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "loewy"]:
+        original = getattr(mod, "rref", None)
+        if original is not None:
+            monkeypatch.setattr(mod, "rref", lambda m, p, rref=original: calls.append(1) or rref(m, p))
+    for kind in ("radical", "socle"):
+        assert layer_table(family, kind) == first[kind]
+    assert calls == []
 
 
 def test_algebra_and_its_cached_modules_are_freed_without_the_cycle_collector():
