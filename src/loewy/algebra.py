@@ -266,8 +266,9 @@ class Algebra:
     table[a, b] holds the coordinates of basis_a * basis_b.  The first
     num_vertices basis elements are the primitive idempotents; the radical is
     the span of the basis paths of length >= 1.  The constructor verifies
-    identity, idempotent and associativity laws and that the paths of length
-    <= 1 generate, computes the radical chain, and fails fast on a violation.
+    identity, idempotent and associativity laws, computes the radical chain,
+    checks that it reaches 0 from a first term of codimension num_vertices,
+    which makes the paths of length <= 1 generate, and fails fast on a violation.
     """
 
     def __init__(
@@ -307,6 +308,10 @@ class Algebra:
         k = self.num_vertices
         if not (1 <= k <= self.dim):
             raise ValueError(f"bad vertex count {k} for dimension {self.dim}")
+        if self.path_lengths[:k].any() or (self.path_lengths[k:] < 1).any():
+            raise ValueError(f"path lengths must be 0 on the first {k} basis elements, then >= 1")
+        self._generators = np.nonzero(self.path_lengths <= 1)[0]
+        self._generators.flags.writeable = False
 
         self.idempotents = np.eye(k, self.dim, dtype=np.int64)
         self.one = self.idempotents.sum(axis=0) % self.p
@@ -317,6 +322,11 @@ class Algebra:
         self._radical_chain = radical_chain(right_mult, self.p)
         if self._radical_chain[-1].dim:
             raise ValueError("radical chain fails to shrink")
+        # rad A lies in the span of the basis elements of length >= 1 by the
+        # degree-zero check; codimension k gives A = span(e_i) + rad A, so by
+        # Nakayama's lemma the trivial paths and arrows generate A.
+        if self._radical_chain[1].dim != self.dim - k:
+            raise ValueError("the trivial paths and arrows do not generate the algebra")
         self.radical = self._radical_chain[1]
         self.loewy_length = len(self._radical_chain) - 1
 
@@ -340,20 +350,11 @@ class Algebra:
         # radical coordinates never produce idempotent components
         if t[:, k:, :k].any() or t[k:, :, :k].any():
             raise ValueError("products of radical elements leak into degree zero")
-        # The trivial paths and arrows generate A: the span W of their
-        # products, grown by W <- W + W * generators, reaches all of A.
-        gens = self.generator_indices()
-        right_mult = t[:, gens, :].transpose(1, 0, 2)  # z -> z * g, per generator g
-        span, size = Subspace.from_rows(ident[gens], d, p), -1
-        while span.dim > size:
-            size = span.dim
-            moved = matmul_mod(span.basis, right_mult, p).reshape(-1, d)
-            span = Subspace.from_rows(np.vstack([span.basis, moved]), d, p)
-        if span.dim != d:
-            raise ValueError("the trivial paths and arrows do not generate the algebra")
         # associativity: (a*b)*g = a*(b*g) for basis elements a, b and each
         # generator g.  Then (x*y)*(w*g) = ((x*y)*w)*g = (x*(y*w))*g = x*(y*(w*g))
-        # by induction on the length of w, a product of generators, so all of A associates.
+        # by induction on the length of w, a product of generators, so all of A
+        # associates: __init__ reads off the radical chain that they generate.
+        right_mult = t[:, self.generator_indices(), :].transpose(1, 0, 2)  # z -> z * g
         for r_g in right_mult:
             lhs = matmul_mod(t.reshape(d * d, d), r_g, p).reshape(d, d, d)
             if not np.array_equal(lhs, matmul_mod(r_g, t, p)):  # [a, b] = a*(b*g)
@@ -366,8 +367,8 @@ class Algebra:
         return self._radical_chain[min(n, self.loewy_length)]
 
     def generator_indices(self) -> np.ndarray:
-        """Basis indices of the trivial paths and arrows present in the basis."""
-        return np.nonzero(self.path_lengths <= 1)[0]
+        """Basis indices of the trivial paths and arrows present in the basis, read-only."""
+        return self._generators
 
     @cached_property
     def arrow_ends(self) -> list[tuple[int, int, int]]:
@@ -404,6 +405,7 @@ class Algebra:
             opp.field, opp.p, opp.dim = self.field, self.p, self.dim
             opp.table = self.table.transpose(1, 0, 2).copy()
             opp.labels, opp.path_lengths = self.labels, self.path_lengths
+            opp._generators = self._generators
             opp.num_vertices = self.num_vertices
             opp.quiver = self.quiver.reverse() if self.quiver is not None else None
             opp.relations = tuple(

@@ -133,10 +133,8 @@ def kernel(m: np.ndarray, p: int) -> "Subspace":
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for t, f in enumerate(free):
-        basis[t, f] = 1
-        for i, c in enumerate(pivots):
-            basis[t, c] = (-r[i, f]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-r[: len(pivots), free].T) % p
     return Subspace.from_rows(basis, ncols, p)
 
 

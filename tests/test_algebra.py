@@ -8,6 +8,7 @@ from loewy import (
     Relation,
     build_nakayama,
     build_path_algebra,
+    default_corpus,
     is_symmetric,
     linear_quiver_algebra,
 )
@@ -180,6 +181,25 @@ def test_opposite_matches_a_fresh_build(name, n32, n22, a3, monkeypatch):
 
 def test_generator_indices(n32):
     assert n32.generator_indices().tolist() == [0, 1, 2, 3, 4, 5]
+
+
+def test_radical_is_the_span_of_the_basis_elements_of_length_at_least_one(a3_rebased):
+    # default_corpus holds the Nakayama grid k, ell <= 4.  An opposite shares
+    # its parent's chain, so each is also rebuilt from the transposed table.
+    algebras = [a for _, a in default_corpus(seed=2)] + [a3_rebased[0]]
+    for a in algebras:
+        fresh = Algebra(a.field, a.table.transpose(1, 0, 2), a.labels, a.path_lengths,
+                        a.num_vertices)
+        want = Subspace.from_rows(np.eye(a.dim, dtype=np.int64)[a.num_vertices:], a.dim, a.p)
+        for b in (a, a.opposite(), fresh):
+            assert b.radical == want
+
+
+@pytest.mark.parametrize("lengths", [[0, 0, 0, 1, 2, 2], [0, 1, 1, 1, 2, 2], [0, 0, 1, 1, 2, -1]],
+                         ids=["zero-after-the-vertices", "nonzero-on-a-vertex", "negative"])
+def test_path_lengths_must_be_zero_on_exactly_the_vertices(n22, lengths):
+    with pytest.raises(ValueError, match="path lengths"):
+        Algebra(n22.field, n22.table, n22.labels, np.array(lengths), n22.num_vertices)
 
 
 def test_symmetric_truncated_polynomial_algebra():

@@ -2,7 +2,9 @@
 
 The reference is the direct method: one Kronecker constraint
 x F - F y = 0 per basis element of the algebra, over all dim U * dim V
-entries of F, with the kernels intersected in basis order.  It needs no
+entries of F, with the kernels intersected in basis order.  Its products
+go through matmul_mod, which tests/test_exact.py pins to Python integers,
+so it is exact up to p = 2**31 - 1.  It needs no
 assumption about which elements generate the algebra, so it checks the
 vertex-by-vertex, arrows-only solve of hom_space matrix for matrix, also
 on an algebra whose basis is not of paths and on modules in random bases,
@@ -29,7 +31,7 @@ from loewy import (
     socle_layer,
     spec_to_algebra,
 )
-from loewy.linalg import kernel, rref
+from loewy.linalg import kernel, matmul_mod, rref
 from test_exact import P_MAX, _rebased, _ref_matmul, _ref_rref
 from test_modules import _direct_sum
 
@@ -51,10 +53,10 @@ def reference_hom_basis(u, v) -> np.ndarray:
         if basis is None:
             basis = kernel(constraint, p).basis
         else:
-            sol = kernel((constraint @ basis.T) % p, p)
+            sol = kernel(matmul_mod(constraint, basis.T, p), p)
             if sol.dim == basis.shape[0]:
                 continue
-            basis = rref((sol.basis @ basis) % p, p)[0][: sol.dim]
+            basis = rref(matmul_mod(sol.basis, basis, p), p)[0][: sol.dim]
         if basis.shape[0] == 0:
             break
     return np.eye(n, dtype=np.int64) if basis is None else basis
@@ -146,9 +148,15 @@ def _spec(p, vertices, arrows, relations, truncation):
     }
 
 
-# Random presentations of default_corpus(seed=2) that carry relations, and
-# the large-prime benchmark's random-27 (workload seed 1) over the largest
-# prime below 2**25.
+def _two_vertex_spec(p):
+    """Two vertices, a double arrow, a loop and a two-term relation: dim 13."""
+    return _spec(p, 2, [("a0", 1, 0), ("a1", 1, 0), ("a2", 1, 1), ("a3", 0, 1)],
+                 [[(1, ["a2", "a1"]), (1, ["a2", "a0"])]], 3)
+
+
+# Random presentations of default_corpus(seed=2) that carry relations, the
+# large-prime benchmark's random-27 (workload seed 1) over the largest prime
+# below 2**25, and the dim-13 algebra of the a_dual cases below at 2**31 - 1.
 WITH_RELATIONS = {
     "random-03": _spec(
         5, 3, [("a0", 2, 1), ("a1", 1, 1), ("a2", 1, 1)],
@@ -161,6 +169,7 @@ WITH_RELATIONS = {
     "large-random-27": _spec(
         33554393, 2, [("a0", 1, 0), ("a1", 1, 0), ("a2", 1, 1), ("a3", 0, 1)],
         [[(9723458, ["a2", "a1"]), (31088404, ["a2", "a0"])]], 3),
+    "two-vertex-p-max": _two_vertex_spec(P_MAX),
 }
 
 
@@ -183,35 +192,18 @@ def test_hom_space_matches_reference_on_a_basis_that_is_not_of_paths(a3_rebased)
     lambda: build_nakayama(3, 2, 2),
     lambda: spec_to_algebra(WITH_RELATIONS["random-09"]),
     lambda: spec_to_algebra(WITH_RELATIONS["large-random-27"]),
-], ids=["nakayama-k2-l2", "nakayama-k3-l2-p2", "random-09", "large-random-27"])
+    lambda: spec_to_algebra(WITH_RELATIONS["two-vertex-p-max"]),
+], ids=["nakayama-k2-l2", "nakayama-k3-l2-p2", "random-09", "large-random-27", "two-vertex-p-max"])
 def test_hom_space_matches_reference_in_random_module_bases(build):
     a = build()
     assert _assert_matches_reference(a, _rebased_family(a, np.random.default_rng(5))) > 0
 
 
-def _basis_into_regular(v) -> np.ndarray:
-    """The reduced basis of Hom(v, A), flattened: reference_hom_basis, except
-    at p = 2**31 - 1, where its unreduced int64 products overflow.  There it
-    is the basis of hom_space, checked in Python integers to be in reduced
-    echelon form and to intertwine every basis element."""
-    a, p = v.algebra, v.algebra.p
-    if p != P_MAX:
-        return reference_hom_basis(v, regular_module(a))
-    maps = hom_space(v, regular_module(a))
-    basis = np.array([f.matrix for f in maps], dtype=np.int64).reshape(len(maps), v.dim * a.dim)
-    assert _ref_rref(basis, p)[0] == basis.tolist()
-    for f in maps:
-        for c in range(a.dim):
-            assert np.array_equal(_ref_matmul(v.action[c], f.matrix, p),
-                                  _ref_matmul(f.matrix, regular_module(a).action[c], p))
-    return basis
-
-
 def reference_a_dual_action(v) -> np.ndarray:
     """action[c][b, q]: the coordinate at F_q of F_b table[c], for the basis
-    F_b of Hom(v, A) from _basis_into_regular, solved in Python integers."""
+    F_b of Hom(v, A) from reference_hom_basis, solved in Python integers."""
     a, p = v.algebra, v.algebra.p
-    basis = _basis_into_regular(v)
+    basis = reference_hom_basis(v, regular_module(a))
     m = basis.shape[0]
     if m == 0:
         return np.zeros((a.dim, 0, 0), dtype=np.int64)
@@ -246,9 +238,7 @@ def _assert_a_dual_matches_reference(a, rng) -> list:
 
 @pytest.mark.parametrize("p", [2, 5, P_MAX])
 def test_a_dual_matches_python_integers(p):
-    # Two vertices, a double arrow, a loop and a two-term relation: dim 13.
-    a = spec_to_algebra(_spec(p, 2, [("a0", 1, 0), ("a1", 1, 0), ("a2", 1, 1), ("a3", 0, 1)],
-                              [[(1, ["a2", "a1"]), (1, ["a2", "a0"])]], 3))
+    a = spec_to_algebra(_two_vertex_spec(p))
     zero_duals = _assert_a_dual_matches_reference(a, np.random.default_rng(p))
     assert [v.dim for v in zero_duals] == [0]
 
