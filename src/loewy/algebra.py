@@ -335,10 +335,11 @@ class Algebra:
     def _verify_structure(self) -> None:
         p, d, k = self.p, self.dim, self.num_vertices
         t = self.table
+        by_right = t.transpose(1, 0, 2).reshape(d, d * d)  # [c, (a, e)] = (a*c)_e
         ident = np.eye(d, dtype=np.int64)
         # identity element
         left = matmul_mod(self.one, t.reshape(d, d * d), p).reshape(d, d)
-        right = matmul_mod(self.one, t.transpose(1, 0, 2).reshape(d, d * d), p).reshape(d, d)
+        right = matmul_mod(self.one, by_right, p).reshape(d, d)
         if not (np.array_equal(left, ident) and np.array_equal(right, ident)):
             raise ValueError("identity check failed")
         # orthogonal idempotents on the trivial paths
@@ -354,10 +355,13 @@ class Algebra:
         # generator g.  Then (x*y)*(w*g) = ((x*y)*w)*g = (x*(y*w))*g = x*(y*(w*g))
         # by induction on the length of w, a product of generators, so all of A
         # associates: __init__ reads off the radical chain that they generate.
+        # Both sides are 2-D products, one generator at a time, so that large
+        # algebras reach the float64 tier of matmul_mod.
         right_mult = t[:, self.generator_indices(), :].transpose(1, 0, 2)  # z -> z * g
         for r_g in right_mult:
-            lhs = matmul_mod(t.reshape(d * d, d), r_g, p).reshape(d, d, d)
-            if not np.array_equal(lhs, matmul_mod(r_g, t, p)):  # [a, b] = a*(b*g)
+            lhs = matmul_mod(t.reshape(d * d, d), r_g, p).reshape(d, d, d)  # [a, b] = (a*b)*g
+            rhs = matmul_mod(r_g, by_right, p).reshape(d, d, d)  # [b, a] = a*(b*g)
+            if not np.array_equal(lhs, rhs.transpose(1, 0, 2)):
                 raise ValueError("associativity check failed")
 
     def radical_power(self, n: int) -> Subspace:

@@ -85,10 +85,13 @@ class Module:
             raise ValueError("identity does not act as the identity matrix")
         # Multiplicativity against the generators, all in one product, pins
         # down the whole action: Algebra checks that they generate A.
-        gens = a.generator_indices()
-        flat = self.action.reshape(a.dim, d * d)
-        prod = matmul_mod(a.table[:, gens, :], flat, p).reshape(a.dim, len(gens), d, d)
-        direct = matmul_mod(self.action[:, None], self.action[gens][None], p)
+        gens, n = a.generator_indices(), a.dim
+        flat = self.action.reshape(n, d * d)
+        prod = matmul_mod(a.table[:, gens, :], flat, p).reshape(n, len(gens), d, d)
+        # [c, g] = action[c]·action[g], as one 2-D product (c, i) x (g, j).
+        direct = matmul_mod(self.action.reshape(n * d, d),
+                            self.action[gens].transpose(1, 0, 2).reshape(d, len(gens) * d), p)
+        direct = direct.reshape(n, d, len(gens), d).transpose(0, 2, 1, 3)
         bad = (prod != direct).any(axis=(0, 2, 3))
         if bad.any():
             g = gens[int(np.argmax(bad))]
@@ -225,7 +228,10 @@ def subquotient(v: Module, top: Subspace, bot: Subspace) -> SubquotientModule:
     # lift is in reduced echelon form: each row's first nonzero is its pivot.
     piv_c = [int(np.flatnonzero(row)[0]) for row in lift]
     proj = bot.reduce(np.eye(d, dtype=np.int64))[:, piv_c]
-    action = matmul_mod(matmul_mod(lift, v.action, p), proj, p)  # (dimA, q, q)
+    # lift·action[c]·proj for every c, the first product as one 2-D product.
+    n, q = v.algebra.dim, len(lift)
+    lifted = matmul_mod(lift, v.action.transpose(1, 0, 2).reshape(d, n * d), p)
+    action = matmul_mod(lifted.reshape(q, n, d).transpose(1, 0, 2), proj, p)  # (dimA, q, q)
     return SubquotientModule(v.algebra, action, v, top, bot, lift, proj)
 
 

@@ -272,14 +272,31 @@ def test_corrupted_table_is_rejected(n22):
         Algebra(n22.field, bad, n22.labels, n22.path_lengths, n22.num_vertices)
 
 
-def test_non_associative_table_is_rejected():
-    # F[x]/(x^3) with x^2 * x changed from 0 to x^2: identity, idempotents
-    # and the radical grading still check out, but (x x) x != x (x x).
-    loop = build_path_algebra(Quiver(1, [Arrow("x", 0, 0)]), [], 3, P)
-    bad = loop.table.copy()
-    bad[2, 1] = [0, 0, 1]
+@pytest.mark.parametrize("dim", [3, 42], ids=["dim3", "dim42"])
+def test_non_associative_table_is_rejected(dim):
+    # One product changed from 0 to a basis element, so that identity,
+    # idempotents and the radical grading still check out:
+    # - dim 3: F[x]/(x^3) with x^2 * x = x^2, so (x x) x != x (x x);
+    # - dim 42: build_nakayama(6, 6) with a0 * (a1*a2*a3*a4*a5*a0) = a0, so
+    #   (a0 * that) * a1 != a0 * (that * a1), at the sizes of the float64
+    #   tier of matmul_mod.
+    # The table is first rescaled, b_i -> s_i b_i, so that it has entries
+    # other than 0 and 1; it is accepted before the change.
+    if dim == 3:
+        a = build_path_algebra(Quiver(1, [Arrow("x", 0, 0)]), [], 3, P)
+        x, y, z = a.labels.index("x*x"), a.labels.index("x"), a.labels.index("x*x")
+    else:
+        a = build_nakayama(6, 6, P)
+        x, y, z = a.labels.index("a0"), a.labels.index("a1*a2*a3*a4*a5*a0"), a.labels.index("a0")
+    assert a.dim == dim and not a.table[x, y].any()
+    s = np.random.default_rng(dim).integers(1, P, size=dim)
+    s[: a.num_vertices] = 1
+    inv = np.array([pow(int(v), P - 2, P) for v in s])
+    table = a.table * s[:, None, None] * s[None, :, None] * inv % P
+    Algebra(a.field, table, a.labels, a.path_lengths, a.num_vertices)
+    table[x, y] = _unit(z, dim)
     with pytest.raises(ValueError, match="associativity"):
-        Algebra(loop.field, bad, loop.labels, loop.path_lengths, 1)
+        Algebra(a.field, table, a.labels, a.path_lengths, a.num_vertices)
 
 
 def test_table_not_generated_in_length_one_is_rejected():

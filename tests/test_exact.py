@@ -1,10 +1,13 @@
 """Exactness on the whole prime range p < 2**31.
 
 Every modular product goes through linalg.matmul_mod.  The property tests
-compare it, and the eliminations built on it, with Python-int references;
-the regression tests run modules and checkers at p = 2**31 - 1, where an
-unreduced int64 product of two entries already overflows after two terms.
+compare it, on its float64, int64 and split tiers, and the eliminations
+built on it, with Python-int references; the regression tests run modules
+and checkers at p = 2**31 - 1, where an unreduced int64 product of two
+entries already overflows after two terms.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loewy import (
+    Algebra,
     Arrow,
     Module,
     Quiver,
@@ -29,18 +33,23 @@ from loewy import (
     projective,
     radical_n,
     regular_module,
+    run_corpus,
     socle_n,
+    spec_to_algebra,
     verify_adjunction,
     verify_duality_lemmas,
     verify_landrock,
     verify_main_theorem,
     verify_nakayama_identity,
 )
-from loewy.linalg import Subspace, kernel, matmul_mod, rref
+from loewy.linalg import _BLAS_MIN_WORK, Subspace, kernel, matmul_mod, rref
 
 P_MAX = 2**31 - 1
 # Small, mid-size and near-2**31 primes: inner * (p - 1)**2 crosses 2**63 at
 # inner = 2 for the last two, at 8193 for 33554393, and never for the rest.
+# It reaches 2**53 - p, where matmul_mod leaves float64 for int64, at
+# inner = 1 for the last two, at 9 for 33554393, at 2098177 for 65521, and
+# only past 5 * 10**14 inner terms for 2 and 5.
 PRIMES = [2, 5, 65521, 33554393, 2147483629, P_MAX]
 
 exact = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -116,6 +125,51 @@ def test_matmul_mod_long_inner_dimension(p, inner):
     x = _operand(rng, p, (2, inner), extreme=True)
     y = _operand(rng, p, (inner, 3), extreme=True)
     assert np.array_equal(matmul_mod(x, y, p), _ref_matmul(x, y, p))
+
+
+# (p, inner) on the float64 tier, and at 33554393 on both sides of its
+# 2**53 bound: inner 8 is the last on float64, inner 9 runs in int64.
+TIER_CASES = [(2, 40), (5, 40), (65521, 40), (33554393, 8), (33554393, 9)]
+
+
+@settings(exact, max_examples=40)
+@given(case=st.sampled_from(TIER_CASES), lead=st.sampled_from([(), (2,), (3, 2)]),
+       extra=st.integers(0, 20), seed=st.integers(0, 2**32 - 1), extreme=st.booleans())
+def test_matmul_mod_float_tier_matches_python_integers(case, lead, extra, seed, extreme):
+    # x of ndim 1, 2 and 3 against a matrix y, with at least _BLAS_MIN_WORK
+    # multiply-adds, so that the first four cases run on the float64 tier.
+    p, inner = case
+    rows = int(np.prod(lead))
+    cols = -(-_BLAS_MIN_WORK // (rows * inner)) + extra
+    rng = np.random.default_rng(seed)
+    x = _operand(rng, p, lead + (inner,), extreme)
+    y = _operand(rng, p, (inner, cols), extreme)
+    got = matmul_mod(x, y, p)
+    assert got.shape == lead + (cols,) and got.dtype == np.int64
+    assert np.array_equal(got, _ref_matmul(x, y, p))
+
+
+@pytest.mark.parametrize("inner", [8, 9])
+def test_matmul_mod_at_the_float64_bound(inner):
+    # At p = 33554393 a sum of 9 products of entries near p is above 2**53,
+    # where float64 would round half of such sums.
+    p = 33554393
+    rng = np.random.default_rng(inner)
+    x = rng.integers(p - 64, p, size=(64, inner), dtype=np.int64)
+    y = rng.integers(p - 64, p, size=(inner, 200), dtype=np.int64)
+    assert np.array_equal(matmul_mod(x, y, p), _ref_matmul(x, y, p))
+
+
+@pytest.mark.parametrize("p", [5, 33554393])
+def test_matmul_mod_zero_size_rows_and_columns(p):
+    rng = np.random.default_rng(p)
+    y = _operand(rng, p, (8, 1200), extreme=True)
+    for x in (np.zeros((0, 8), dtype=np.int64), np.zeros((3, 0, 8), dtype=np.int64)):
+        assert matmul_mod(x, y, p).shape == x.shape[:-1] + (1200,)
+    x = _operand(rng, p, (3, 1100, 8), extreme=True)
+    assert matmul_mod(x, y[:, :0], p).shape == (3, 1100, 0)
+    empty = matmul_mod(np.zeros((1100, 0), dtype=np.int64), np.zeros((0, 8), dtype=np.int64), p)
+    assert np.array_equal(empty, np.zeros((1100, 8), dtype=np.int64))
 
 
 STRUCTURES = ["dependent", "sparse 0/1", "reduced", "repeated rows", "unit pivots",
@@ -283,3 +337,37 @@ def test_layer_table_matches_python_ranks_in_bases_not_adapted_to_the_vertices(p
             steps = np.diff(dims, axis=1)
             want = -steps if kind == "radical" else steps
             assert np.array_equal(layer_table([v], kind).table[0], want), (v, kind)
+
+
+LARGE_SPEC = {  # dim 13 over GF(33554393), with a two-term relation
+    "field": {"p": 33554393},
+    "quiver": {"vertices": 2, "arrows": [
+        {"name": "a0", "source": 1, "target": 0}, {"name": "a1", "source": 1, "target": 0},
+        {"name": "a2", "source": 1, "target": 1}, {"name": "a3", "source": 0, "target": 1}]},
+    "relations": [[{"coeff": 9723458, "path": ["a2", "a1"]},
+                   {"coeff": 31088404, "path": ["a2", "a0"]}]],
+    "truncation": 3,
+}
+
+
+def test_every_product_keeps_its_operands_in_range(monkeypatch, a3_rebased):
+    # The float64 tier of matmul_mod is exact only for int64 entries in
+    # [0, p), its documented precondition.  Every binding of it in loewy is
+    # wrapped, and whole runs over three algebras build and check them.
+    def checked(x, y, p):
+        for v in (x, y):
+            assert v.dtype == np.int64, v.dtype
+            assert not v.size or (v.min() >= 0 and v.max() < p), (v.min(), v.max(), p)
+        return matmul_mod(x, y, p)
+
+    bound = [m for name, m in sys.modules.items()
+             if name.startswith("loewy.") and getattr(m, "matmul_mod", None) is matmul_mod]
+    assert {m.__name__ for m in bound} >= {"loewy.linalg", "loewy.algebra", "loewy.modules"}
+    for m in bound:
+        monkeypatch.setattr(m, "matmul_mod", checked)
+    rebased = a3_rebased[0]
+    entries = [("nakayama-6-6", build_nakayama(6, 6)),
+               ("large-prime", spec_to_algebra(LARGE_SPEC)),
+               ("a3-rebased", Algebra(rebased.field, rebased.table, rebased.labels,
+                                      rebased.path_lengths, rebased.num_vertices))]
+    assert "fail" not in [r.status for r in run_corpus(entries)]

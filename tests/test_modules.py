@@ -146,11 +146,23 @@ def test_module_map_rejects_a_matrix_that_misses_one_arrow(name, a3, n22):
             ModuleMap(reg, reg, missing[0])
 
 
-def test_module_verification_catches_broken_action(n22):
-    act = regular_module(n22).action.copy()
-    act[3, 0, 0] = (act[3, 0, 0] + 1) % P
-    with pytest.raises(ValueError):
-        Module(n22, act)
+@pytest.mark.parametrize("k, ell, entry", [(2, 2, ("a1", "e0", "e0")),
+                                           (6, 6, ("a1", "a0", "a0"))], ids=["dim6", "dim42"])
+def test_module_verification_catches_broken_action(k, ell, entry):
+    # One product of the regular action gains a term, e0 * a1 = e0 or
+    # a0 * a1 = a0*a1 + a0, on a rescaled basis b_i -> s_i b_i, so that the
+    # action has entries other than 0 and 1; it is accepted before the
+    # change.  build_nakayama(6, 6) (dim 42) runs at the sizes of the
+    # float64 tier of matmul_mod.
+    a = build_nakayama(k, ell, P)
+    s = np.random.default_rng(a.dim).integers(1, P, size=a.dim)
+    inv = np.array([pow(int(v), P - 2, P) for v in s])
+    act = regular_module(a).action * s[None, :, None] * inv[None, None, :] % P
+    Module(a, act)
+    c, i, j = (a.labels.index(label) for label in entry)
+    act[c, i, j] = (act[c, i, j] + 1) % P
+    with pytest.raises(ValueError, match="not multiplicative"):
+        Module(a, act)
 
 
 def test_submodule_requires_invariance():
