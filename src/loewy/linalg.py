@@ -154,26 +154,38 @@ def rank(m: np.ndarray, p: int) -> int:
 
 
 def kernel(m: np.ndarray, p: int) -> "Subspace":
-    """Right null space {x : m·x = 0} as a Subspace of F^ncols."""
-    m = np.asarray(m, dtype=np.int64) % p
+    """Right null space {x : m·x = 0} as a Subspace of F^ncols, from one
+    elimination.
+
+    The columns are eliminated in reverse order.  A row of that echelon
+    form has nonzeros only in its pivot column and in free columns to the
+    right of it, so, back in the original order, the null vector of free
+    column f has its 1 at f and its other nonzeros in pivot columns after
+    f.  The free columns are then the pivots of these vectors, each the
+    only nonzero of its column: listed by f, they are already the reduced
+    row-echelon basis."""
+    m = np.asarray(m, dtype=np.int64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
     ncols = m.shape[1]
-    r, pivots = rref(m, p)
+    r, rev_pivots = rref(m[:, ::-1], p)
+    pivots = [ncols - 1 - c for c in rev_pivots]
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-r[: len(pivots), free].T) % p
-    return Subspace.from_rows(basis, ncols, p)
+    basis[:, pivots] = (-r[: len(pivots), ::-1][:, free].T) % p
+    return Subspace(basis, ncols, p, free)
 
 
 class Subspace:
     """A subspace of F^ambient held as a reduced row-echelon basis."""
 
     def __init__(self, basis: np.ndarray, ambient: int, p: int, pivots: list[int]):
-        # Internal constructor; use from_rows/zero/full.  The basis is
-        # read-only: subspaces are hashed by it and shared through caches.
+        # Internal constructor for a basis already in reduced row-echelon
+        # form with these pivots, as kernel builds it; otherwise use
+        # from_rows/zero/full.  The basis is read-only: subspaces are hashed
+        # by it and shared through caches.
         basis.flags.writeable = False
         self.basis = basis
         self.ambient = ambient

@@ -66,8 +66,8 @@ class Module:
         self.dim = self.action.shape[1]
         self.action.flags.writeable = False
         # Filled by series: each series by kind, its terms' vertex dimensions,
-        # and the verified subquotient of each pair of terms as (action, lift,
-        # proj, _vertex); the duals by f_dual and a_dual; the vertex basis by
+        # and the subquotient of each pair of terms as (action, lift, proj,
+        # _vertex); the duals by f_dual and a_dual; the vertex basis by
         # _vertex_basis, into a list that series can share among wrappers
         # before it is filled.
         self._series: dict[str, list[Subspace]] = {}
@@ -212,10 +212,15 @@ def subquotient(v: Module, top: Subspace, bot: Subspace) -> SubquotientModule:
 
     Invariance is tested against the idempotents and arrows only: their
     products span A, so this is exact when the action of v is
-    multiplicative.  Module._verify checks that on construction; a parent
-    built with check=False must be multiplicative by construction, as the
-    regular module, f_dual of a module and the series quotients rewrapped
-    from verified data are."""
+    multiplicative.  Module._verify checks that for an action given from
+    outside; the regular module, f_dual of a module and every subquotient
+    are multiplicative by construction.
+
+    The induced action A'_c = lift·A_c·proj is a module by the same
+    argument, so it is built unchecked.  For y in top, y·proj·lift - y lies
+    in bot, and bot·proj = 0.  As top and bot are invariant,
+    A'_a·A'_b = lift·A_a·A_b·proj = A'_ab when v is multiplicative, and
+    lift·proj = 1 makes 1 act as 1."""
     p, d = v.algebra.p, v.dim
     generators = v.action[v.algebra.generator_indices()]
     for w in (top, bot):
@@ -232,7 +237,7 @@ def subquotient(v: Module, top: Subspace, bot: Subspace) -> SubquotientModule:
     n, q = v.algebra.dim, len(lift)
     lifted = matmul_mod(lift, v.action.transpose(1, 0, 2).reshape(d, n * d), p)
     action = matmul_mod(lifted.reshape(q, n, d).transpose(1, 0, 2), proj, p)  # (dimA, q, q)
-    return SubquotientModule(v.algebra, action, v, top, bot, lift, proj)
+    return SubquotientModule(v.algebra, action, v, top, bot, lift, proj, check=False)
 
 
 def submodule(v: Module, w: Subspace) -> SubquotientModule:
@@ -279,8 +284,11 @@ def f_dual(v: Module) -> Module:
 
 
 def f_dual_map(f: ModuleMap) -> ModuleMap:
-    """The dual of a map, between the duals in the opposite direction."""
-    return ModuleMap(f_dual(f.target), f_dual(f.source), f.matrix.T.copy())
+    """The dual of a map, between the duals in the opposite direction.
+
+    Unchecked: f.matrix intertwines the actions, so its transpose
+    intertwines the transposed ones."""
+    return ModuleMap(f_dual(f.target), f_dual(f.source), f.matrix.T.copy(), check=False)
 
 
 def hom_space(u: Module, v: Module) -> list[ModuleMap]:
@@ -293,10 +301,17 @@ def hom_space(u: Module, v: Module) -> list[ModuleMap]:
     with e_s g e_t != 0 asks X P_t = P_s Y, where X = R_s(u) g C_t(u) and
     Y = R_s(v) g C_t(v).  The longer basis elements are products of
     generators, so this assumes the action is multiplicative, which Module
-    checks and the functors preserve.  One kernel over all arrow
+    checks for an action given from outside and the constructions
+    preserve (see subquotient).  One kernel over all arrow
     constraints gives the parameters; mapped back to matrices and
     row-reduced they give the reduced row-echelon basis of the space of
     intertwiners, flattened row-major.
+
+    The basis maps are built unchecked, as they intertwine by
+    construction: each commutes with the idempotents by its form, the
+    kernel makes it commute with every arrow block, and the last
+    elimination only combines such maps.  That is all that
+    ModuleMap._intertwines would test.
     """
     if u.algebra is not v.algebra:
         raise ValueError("modules live over different algebras")
@@ -335,7 +350,7 @@ def hom_space(u: Module, v: Module) -> list[ModuleMap]:
         block = params[:, offsets[i]:offsets[i + 1]].reshape(n, c.shape[1], r.dim)
         maps = (maps + matmul_mod(matmul_mod(c, block, p), r.basis, p)) % p
     basis = rref(maps.reshape(-1, du * dv), p)[0]
-    return [ModuleMap(u, v, row.reshape(du, dv)) for row in basis]
+    return [ModuleMap(u, v, row.reshape(du, dv), check=False) for row in basis]
 
 
 class ADualModule(Module):

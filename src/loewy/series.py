@@ -18,13 +18,14 @@ duality isomorphisms exact matrix identities rather than approximate
 constructions.
 
 Layers, capitals and socle submodules are quotients W/W' of two terms
-of one series, and each pair of terms is built and verified by
-subquotient once per module, whichever series and levels name it.  The
-module keeps only the verified read-only data (action, lift, proj) and
-the holder of the subquotient's vertex basis, keyed by the pair
-(W, W'), never the subquotient itself, which holds its parent; later
-requests wrap that data in a new SubquotientModule without checking or
-eliminating it again.
+of one series, and each pair of terms is built by subquotient once per
+module, whichever series and levels name it.  The module keeps only the
+read-only data (action, lift, proj) and the holder of the subquotient's
+vertex basis, keyed by the pair (W, W'), never the subquotient itself,
+which holds its parent; later requests wrap that data in a new
+SubquotientModule without testing or eliminating it again.  The maps
+built here carry the adjunction and the duality isomorphisms, and every
+one of them is checked to intertwine.
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ requests return the shared result, that what is shared cannot be
 written, that run_corpus builds each subquotient and its vertex basis
 once, that layer_table eliminates the series of a module once, that
 subquotient still rejects what it must, and that an algebra and every
-module cached over it are freed by reference counting alone.
+module cached over it are freed by reference counting alone.  They also
+check that what subquotient, hom_space and f_dual_map build unchecked
+passes the checks it skips, that the maps carrying the checkers' claims
+are still checked, and that verify_adjunction solves each Hom pair once.
 """
 
 import gc
@@ -19,10 +22,12 @@ import pytest
 
 from loewy import (
     Module,
+    ModuleMap,
     SubquotientModule,
     a_dual,
     build_nakayama,
     capital_n,
+    default_corpus,
     f_dual,
     injective,
     layer_table,
@@ -40,6 +45,7 @@ from loewy import (
     spec_to_algebra,
     subquotient,
     submodule,
+    verify_adjunction,
 )
 from loewy.linalg import Subspace
 
@@ -195,3 +201,94 @@ def test_algebra_and_its_cached_modules_are_freed_without_the_cycle_collector():
         assert reports and [r() for r in alive] == [None] * len(alive)
     finally:
         gc.enable()
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Replace every binding of original in the loewy modules."""
+    name = original.__name__
+    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "loewy"]:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+
+
+def _recording(original, out):
+    def record(*args):
+        result = original(*args)
+        out.extend(result if isinstance(result, (list, tuple)) else [result])
+        return result
+    return record
+
+
+# subquotient, hom_space and f_dual_map build without checking what their
+# construction proves; these algebras run every checker over them.
+GUARD_ALGEBRAS = {
+    "corpus-part": lambda request: [(n, a) for n, a in default_corpus(seed=2)
+                                    if n.startswith("random-") or n == "linear-A4-N3"],
+    "a3-rebased": lambda request: [("a3-rebased", request.getfixturevalue("a3_rebased")[0])],
+    "nakayama-k6-l6": lambda request: [("nakayama-k6-l6", build_nakayama(6, 6))],
+    "relations-large-prime": lambda request: [
+        ("relations", spec_to_algebra(dict(RELATIONS_SPEC, field={"p": 33554393})))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_ALGEBRAS))
+def test_unchecked_constructions_pass_the_checks_they_skip(monkeypatch, request, name):
+    import loewy.modules as modules
+
+    built, maps = [], []
+    _rebind(monkeypatch, modules.subquotient, _recording(modules.subquotient, built))
+    _rebind(monkeypatch, modules.hom_space, _recording(modules.hom_space, maps))
+    _rebind(monkeypatch, modules.f_dual_map, _recording(modules.f_dual_map, maps))
+    reports = run_corpus(GUARD_ALGEBRAS[name](request))
+    assert reports and "fail" not in {r.status for r in reports}
+    for f in list(maps):  # run_corpus dualizes no map itself
+        modules.f_dual_map(f)
+    assert built and maps
+    for v in built:
+        v._verify()  # raises unless 1 acts as 1 and the action is multiplicative
+    assert all(f._intertwines() for f in maps)
+
+
+def test_run_corpus_checks_once(monkeypatch):
+    import loewy.modules as modules
+    import loewy.verify as verify
+
+    verified, intertwined, hom_maps, claims = [], [], [], []
+    module_verify, intertwines = Module._verify, ModuleMap._intertwines
+    monkeypatch.setattr(Module, "_verify", lambda v: verified.append(v) or module_verify(v))
+    monkeypatch.setattr(ModuleMap, "_intertwines",
+                        lambda f: intertwined.append(f) or intertwines(f))
+    _rebind(monkeypatch, modules.hom_space, _recording(modules.hom_space, hom_maps))
+    # The maps that carry the adjunction and the duality isomorphisms.
+    for original in (verify.adjunction_forward, verify.adjunction_backward,
+                     verify.dual_socle_capital_iso, verify.dual_layer_iso):
+        _rebind(monkeypatch, original, _recording(original, claims))
+    reports = run_corpus([("nakayama-k3-l2", build_nakayama(3, 2))])
+    assert [r.status for r in reports] == ["unknown"]  # not symmetric: Landrock skipped
+    assert verified and not any(isinstance(v, SubquotientModule) for v in verified)
+    checked = {id(f) for f in intertwined}  # each f is held by a list above
+    assert hom_maps and not any(id(f) in checked for f in hom_maps)
+    assert claims and all(id(f) in checked for f in claims)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_adjunction_solves_each_hom_pair_once(monkeypatch, seed):
+    from loewy.modules import hom_space
+
+    pairs = []
+
+    def key(v):
+        # A series quotient is rewrapped on every request; its data is not.
+        if isinstance(v, SubquotientModule):
+            return id(v.parent), v.top, v.bot
+        return id(v)
+
+    def solving(u, v):
+        pairs.append((u, v, key(u), key(v)))  # holding u and v keeps the ids distinct
+        return hom_space(u, v)
+
+    _rebind(monkeypatch, hom_space, solving)
+    report = verify_adjunction(build_nakayama(3, 2), sample_size=6, seed=seed)
+    assert report.status == "pass"
+    keys = [(ku, kv) for _, _, ku, kv in pairs]
+    assert keys and len(set(keys)) == len(keys)
