@@ -22,6 +22,10 @@ every module built over it are freed by reference counting alone.
 
 Each module keeps one vertex basis (Module._vertex_basis), on which
 hom_space solves, layer_table counts and find_isomorphism reads tops.
+Out of a standard projective P_i and into a standard injective I_i,
+hom_space reads the basis off V e_i in closed form instead of solving:
+projective and injective tag the modules they build with their vertex
+and the lift of e_i A, never with another module.
 """
 
 from __future__ import annotations
@@ -56,6 +60,12 @@ __all__ = [
 
 class Module:
     """A right module given by its read-only action matrices on a fixed basis."""
+
+    # Set by projective on P_i and by injective on I_i = f_dual(e_i A^op):
+    # (i, lift), where the rows of lift are a basis of e_i A (of e_i A^op for
+    # I_i) in the coordinates of the algebra.  hom_space reads them.
+    _projective_at: tuple[int, np.ndarray] | None = None
+    _injective_at: tuple[int, np.ndarray] | None = None
 
     def __init__(self, algebra: Algebra, action: np.ndarray, check: bool = True):
         self.algebra = algebra
@@ -257,16 +267,20 @@ def projective(a: Algebra, i: int) -> SubquotientModule:
     if v is None:
         span = Subspace.from_rows(a.table[i] % a.p, a.dim, a.p)
         v = submodule(regular_module(a), span)
+        v._projective_at = (i, v.lift)
         a._standard_modules[("P", i)] = v
     return v
 
 
 def injective(a: Algebra, i: int) -> Module:
     """The injective I_i, the linear dual of the opposite projective at i,
-    shared while held."""
+    shared while held.  It keeps the lift of the opposite projective, not
+    the projective itself, whose caches would then live as long as I_i."""
     v = a._standard_modules.get(("I", i))
     if v is None:
-        v = f_dual(projective(a.opposite(), i))
+        q = projective(a.opposite(), i)
+        v = f_dual(q)
+        v._injective_at = (i, q.lift)
         a._standard_modules[("I", i)] = v
     return v
 
@@ -292,29 +306,74 @@ def f_dual_map(f: ModuleMap) -> ModuleMap:
 
 
 def hom_space(u: Module, v: Module) -> list[ModuleMap]:
-    """Basis of Hom(u, v), canonical for the given coordinate systems.
+    """Basis of Hom(u, v), canonical for the given coordinate systems: the
+    reduced row-echelon basis of the space of intertwiners, flattened
+    row-major.  Any spanning set of the space, row-reduced, gives it, so
+    the three ways below return the same matrices.
 
-    Solved on the vertex bases (R_i, C_i) of Module._vertex_basis.  An
-    intertwiner F commutes with every idempotent, so F = sum_i C_i(u) P_i
-    R_i(v), where P_i = R_i(u) F C_i(v) is a free dim(U e_i) x dim(V e_i)
-    block of parameters.  Only the arrows constrain the blocks: an arrow g
-    with e_s g e_t != 0 asks X P_t = P_s Y, where X = R_s(u) g C_t(u) and
-    Y = R_s(v) g C_t(v).  The longer basis elements are products of
-    generators, so this assumes the action is multiplicative, which Module
-    checks for an action given from outside and the constructions
-    preserve (see subquotient).  One kernel over all arrow
-    constraints gives the parameters; mapped back to matrices and
-    row-reduced they give the reduced row-echelon basis of the space of
-    intertwiners, flattened row-major.
+    Out of the standard projective P_i = e_i A (u from projective):
+    P_i is generated by e_i, so f -> f(e_i) is an isomorphism
+    Hom(P_i, V) -> V e_i, with inverse x -> (y -> x y) (Auslander, Reiten
+    and Smalo, Representation Theory of Artin Algebras, I.4).  For each
+    row x of the basis of V e_i from Module._vertex_basis, the map in P_i's
+    coordinates is lift·M_x, where lift is P_i's basis of e_i A and row c
+    of M_x is x·action[c].
+
+    Into the standard injective I_j = f_dual(e_j A^op) (v from injective):
+    F intertwines u and I_j exactly when its transpose intertwines e_j A^op
+    and f_dual(u), whose actions are the transposed ones.  So the maps are
+    the transposes of those out of e_j A^op into f_dual(u) over the
+    opposite algebra, read in the same closed form.
+
+    Otherwise the space is solved on the vertex bases (R_i, C_i) of
+    Module._vertex_basis.  An intertwiner F commutes with every
+    idempotent, so F = sum_i C_i(u) P_i R_i(v), where P_i = R_i(u) F C_i(v)
+    is a free dim(U e_i) x dim(V e_i) block of parameters.  Only the
+    arrows constrain the blocks: an arrow g with e_s g e_t != 0 asks
+    X P_t = P_s Y, where X = R_s(u) g C_t(u) and Y = R_s(v) g C_t(v).  The
+    longer basis elements are products of generators, so this assumes the
+    action is multiplicative, which Module checks for an action given from
+    outside and the constructions preserve (see subquotient).  One kernel
+    over all arrow constraints gives the parameters, mapped back to
+    matrices.
 
     The basis maps are built unchecked, as they intertwine by
-    construction: each commutes with the idempotents by its form, the
-    kernel makes it commute with every arrow block, and the last
-    elimination only combines such maps.  That is all that
-    ModuleMap._intertwines would test.
+    construction.  In closed form, y -> x y is A-linear on e_i A.  When
+    solved, each commutes with the idempotents by its form and the kernel
+    makes it commute with every arrow block.  The last elimination only
+    combines such maps.  That is all that ModuleMap._intertwines would
+    test.
     """
     if u.algebra is not v.algebra:
         raise ValueError("modules live over different algebras")
+    p = u.algebra.p
+    if u._projective_at is not None:
+        maps = _maps_from_projective(*u._projective_at, v)
+    elif v._injective_at is not None:
+        maps = _maps_from_projective(*v._injective_at, f_dual(u)).transpose(0, 2, 1)
+    else:
+        maps = _solve_hom(u, v)
+    if len(maps) == 0:
+        return []
+    basis = rref(maps.reshape(len(maps), -1), p)[0]
+    return [ModuleMap(u, v, row.reshape(u.dim, v.dim), check=False) for row in basis]
+
+
+def _maps_from_projective(i: int, lift: np.ndarray, v: Module) -> np.ndarray:
+    """The maps y -> x y out of e_i A, with basis lift, into v, one for each
+    row x of the basis of v e_i: a stack (dim v e_i, len(lift), v.dim)."""
+    a, d = v.algebra, v.dim
+    rows = v._vertex_basis()[0][i].basis
+    if rows.shape[0] == 0:
+        return rows.reshape(0, len(lift), d)
+    # moved[x, c] = x·action[c], then lift·moved[x] for every x in one 2-D product.
+    moved = matmul_mod(rows, v.action.transpose(1, 0, 2).reshape(d, a.dim * d), a.p)
+    moved = moved.reshape(-1, a.dim, d).transpose(1, 0, 2).reshape(a.dim, -1)
+    return matmul_mod(lift, moved, a.p).reshape(len(lift), -1, d).transpose(1, 0, 2)
+
+
+def _solve_hom(u: Module, v: Module) -> np.ndarray:
+    """The general solve of hom_space: a stack of maps spanning Hom(u, v)."""
     a = u.algebra
     p = a.p
     du, dv = u.dim, v.dim
@@ -322,7 +381,7 @@ def hom_space(u: Module, v: Module) -> list[ModuleMap]:
     offsets = np.cumsum([0] + [eu.dim * ev.dim for eu, ev in zip(ru, rv)])
     m = int(offsets[-1])
     if m == 0:
-        return []
+        return np.zeros((0, du, dv), dtype=np.int64)
     constraints = []
     for g, s, t in a.arrow_ends:
         cs, rt = ru[s].dim, rv[t].dim
@@ -344,13 +403,12 @@ def hom_space(u: Module, v: Module) -> list[ModuleMap]:
         params = np.eye(m, dtype=np.int64)
     n = params.shape[0]
     if n == 0:
-        return []
+        return np.zeros((0, du, dv), dtype=np.int64)
     maps = np.zeros((n, du, dv), dtype=np.int64)
     for i, (c, r) in enumerate(zip(cu, rv)):
         block = params[:, offsets[i]:offsets[i + 1]].reshape(n, c.shape[1], r.dim)
         maps = (maps + matmul_mod(matmul_mod(c, block, p), r.basis, p)) % p
-    basis = rref(maps.reshape(-1, du * dv), p)[0]
-    return [ModuleMap(u, v, row.reshape(du, dv), check=False) for row in basis]
+    return maps
 
 
 class ADualModule(Module):

@@ -8,7 +8,9 @@ so it is exact up to p = 2**31 - 1.  It needs no
 assumption about which elements generate the algebra, so it checks the
 vertex-by-vertex, arrows-only solve of hom_space matrix for matrix, also
 on an algebra whose basis is not of paths and on modules in random bases,
-whose vertex spaces are not spanned by coordinate vectors.  The action
+whose vertex spaces are not spanned by coordinate vectors, and the closed
+forms out of the standard projectives and into the standard injectives on
+those same families, with the general solve shut off.  The action
 of a_dual is checked in the same way, against the coordinates of each
 left multiple F_b table[c] in the reference basis of Hom(v, A), solved by
 a Python-int elimination.
@@ -17,6 +19,7 @@ a Python-int elimination.
 import numpy as np
 import pytest
 
+from loewy import modules
 from loewy import (
     Module,
     a_dual,
@@ -24,6 +27,7 @@ from loewy import (
     f_dual,
     hom_space,
     injective,
+    linear_quiver_algebra,
     projective,
     radical_layer,
     regular_module,
@@ -197,6 +201,95 @@ def test_hom_space_matches_reference_on_a_basis_that_is_not_of_paths(a3_rebased)
 def test_hom_space_matches_reference_in_random_module_bases(build):
     a = build()
     assert _assert_matches_reference(a, _rebased_family(a, np.random.default_rng(5))) > 0
+
+
+def _assert_closed_forms_match_reference(monkeypatch, families) -> int:
+    """hom_space out of each standard projective and into each standard
+    injective of every family's algebra, against the family's members and
+    each other, equals the reference.  These are the tagged modules
+    themselves, which _distinct can drop when a P_i has the action of an
+    earlier simple.  kernel fails if called, so only a closed form can
+    answer.  Returns the number of pairs compared."""
+    def no_kernel(*args):
+        raise AssertionError("hom_space solved where a closed form applies")
+
+    pairs = []
+    for mods in families:
+        b, k = mods[0].algebra, mods[0].algebra.num_vertices
+        ps = [projective(b, i) for i in range(k)]
+        injs = [injective(b, i) for i in range(k)]
+        others = _distinct(mods) + ps + injs
+        pairs += [(u, v) for u in ps for v in others] + [(u, v) for v in injs for u in others]
+    with monkeypatch.context() as m:
+        m.setattr(modules, "kernel", no_kernel)
+        got = [hom_space(u, v) for u, v in pairs]
+    for (u, v), maps in zip(pairs, got):
+        want = reference_hom_basis(u, v)
+        assert len(maps) == want.shape[0]
+        for f, row in zip(maps, want):
+            assert f.source is u and f.target is v
+            assert np.array_equal(f.matrix, row.reshape(u.dim, v.dim))
+    return len(pairs)
+
+
+CLOSED_FORM_CASES = {
+    "nakayama-k1-l3": lambda: build_nakayama(1, 3),
+    "nakayama-k3-l2": lambda: build_nakayama(3, 2),
+    "nakayama-k2-l2-p2": lambda: build_nakayama(2, 2, 2),
+    "linear-3": lambda: linear_quiver_algebra(3, 3),
+    "random-09": lambda: spec_to_algebra(WITH_RELATIONS["random-09"]),
+    "two-vertex-p-max": lambda: spec_to_algebra(WITH_RELATIONS["two-vertex-p-max"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
+def test_closed_forms_match_reference(monkeypatch, name):
+    a = CLOSED_FORM_CASES[name]()
+    families = [*_family(a), *_rebased_family(a, np.random.default_rng(11))]
+    assert _assert_closed_forms_match_reference(monkeypatch, families) > 0
+
+
+def test_closed_forms_match_reference_on_a_basis_that_is_not_of_paths(monkeypatch, a3_rebased):
+    a = a3_rebased[0]
+    families = [*_family(a), *_rebased_family(a, np.random.default_rng(13))]
+    assert _assert_closed_forms_match_reference(monkeypatch, families) > 0
+
+
+def test_closed_forms_are_empty_where_v_e_i_is_zero(n32):
+    k = n32.num_vertices
+    for i in range(k):
+        for j in range(k):
+            # S_j e_i = 0, and Hom(S_j, I_i) is dual to S_j e_i.
+            want = 1 if i == j else 0
+            assert len(hom_space(projective(n32, i), simple(n32, j))) == want
+            assert len(hom_space(simple(n32, j), injective(n32, i))) == want
+
+
+def test_closed_forms_agree_with_the_solve_where_p_i_or_i_i_is_simple():
+    # On 0 -> 1 -> 2, P_2 = S_2 and I_0 = S_0 as modules; the simples are
+    # untagged, so hom_space solves for them.
+    a = linear_quiver_algebra(3, 3)
+    own = _family(a)[0]
+    pairs = [(projective(a, 2), simple(a, 2)), (injective(a, 0), simple(a, 0))]
+    for tagged, plain in pairs:
+        assert np.array_equal(tagged.action, plain.action)
+    for v in own:
+        assert ([f.matrix.tolist() for f in hom_space(projective(a, 2), v)]
+                == [f.matrix.tolist() for f in hom_space(simple(a, 2), v)])
+        assert ([f.matrix.tolist() for f in hom_space(v, injective(a, 0))]
+                == [f.matrix.tolist() for f in hom_space(v, simple(a, 0))])
+
+
+def test_closed_forms_still_reject_modules_over_different_algebras(n32):
+    # Where V e_i = 0 the closed forms would otherwise return [] unasked.
+    other = build_nakayama(3, 2)
+    cases = [(projective(n32, 0), projective(n32.opposite(), 0)),
+             (projective(n32, 0), simple(other, 1)),
+             (simple(other, 1), injective(n32, 0)),
+             (injective(n32.opposite(), 1), injective(n32, 1))]
+    for u, v in cases:
+        with pytest.raises(ValueError, match="modules live over different algebras"):
+            hom_space(u, v)
 
 
 def reference_a_dual_action(v) -> np.ndarray:

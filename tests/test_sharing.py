@@ -10,7 +10,8 @@ subquotient still rejects what it must, and that an algebra and every
 module cached over it are freed by reference counting alone.  They also
 check that what subquotient, hom_space and f_dual_map build unchecked
 passes the checks it skips, that the maps carrying the checkers' claims
-are still checked, and that verify_adjunction solves each Hom pair once.
+are still checked, that verify_adjunction solves each Hom pair once and
+that verify_duality_lemmas decides each module's tuple of terms once.
 """
 
 import gc
@@ -29,6 +30,7 @@ from loewy import (
     capital_n,
     default_corpus,
     f_dual,
+    hom_space,
     injective,
     layer_table,
     linear_quiver_algebra,
@@ -46,6 +48,7 @@ from loewy import (
     subquotient,
     submodule,
     verify_adjunction,
+    verify_duality_lemmas,
 )
 from loewy.linalg import Subspace
 
@@ -81,6 +84,20 @@ def test_standard_modules_and_duals_are_shared_while_held():
     dropped = weakref.ref(projective(a, 1))
     assert dropped() is None
     assert np.array_equal(projective(a, 1).action, projective(build_nakayama(3, 2), 1).action)
+
+
+def test_injective_does_not_keep_the_opposite_projective_alive():
+    # I_i is the f_dual of e_i A^op, which caches I_i; a link back would
+    # keep that projective and all its caches alive for as long as I_i.
+    a = build_nakayama(3, 2)
+    held = projective(a.opposite(), 1)
+    v = injective(a, 1)
+    assert f_dual(held) is v
+    dropped = weakref.ref(held)
+    del held
+    assert dropped() is None
+    # hom_space into I_1 reads only the lift of e_1 A^op, which I_1 keeps.
+    assert len(hom_space(simple(a, 1), v)) == 1 and dropped() is None
 
 
 def test_series_quotients_are_wrapped_around_one_verified_build():
@@ -292,3 +309,28 @@ def test_verify_adjunction_solves_each_hom_pair_once(monkeypatch, seed):
     assert report.status == "pass"
     keys = [(ku, kv) for _, _, ku, kv in pairs]
     assert keys and len(set(keys)) == len(keys)
+
+
+def test_verify_duality_lemmas_decides_each_tuple_of_terms_once(monkeypatch):
+    import loewy.verify as verify
+
+    calls = []
+
+    def recording(original, terms):
+        def record(u, n):
+            calls.append((original.__name__, id(u), terms(u, f_dual(u), n)))
+            return original(u, n)
+        return record
+
+    monkeypatch.setattr(verify, "dual_socle_capital_iso", recording(
+        verify.dual_socle_capital_iso, lambda u, du, n: (radical_n(u, n), socle_n(du, n))))
+    monkeypatch.setattr(verify, "dual_layer_iso", recording(
+        verify.dual_layer_iso, lambda u, du, n: (socle_n(u, n - 1), socle_n(u, n),
+                                                 radical_n(du, n - 1), radical_n(du, n))))
+    a = build_nakayama(3, 2)
+    report = verify_duality_lemmas(a)  # holds the family throughout: one id, one module
+    assert report.status == "pass"
+    rows = report.checks[0].evidence
+    assert len(rows) == 3 * a.num_vertices * (2 * a.loewy_length + 1)
+    # The simples have Loewy length 1 < 3, so their later levels repeat.
+    assert len(set(calls)) == len(calls) < len(rows)
