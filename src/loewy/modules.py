@@ -15,10 +15,11 @@ lift and proj of a subquotient, are read-only arrays.  What is derived
 from a module is therefore computed once and shared.  The standard
 modules of an algebra are kept on it weakly, so regular_module,
 projective, injective and simple return the same object for as long as
-some caller holds it.  Each module keeps its f_dual and a_dual, and
-series.py keeps the data of its layers, capitals and socle submodules on
-it.  None of these caches points back at its owner, so an algebra and
-every module built over it are freed by reference counting alone.
+some caller holds it.  Everything else derived from a module is kept in
+one dict, Module._cache, under a key per entry, and a rewrapped series
+quotient adopts the dict of its first build.  No cached value points
+back at its owner, so an algebra and every module built over it are
+freed by reference counting alone.
 
 Each module keeps one vertex basis (Module._vertex_basis), on which
 hom_space solves, layer_table counts and find_isomorphism reads tops.
@@ -75,17 +76,10 @@ class Module:
             raise ValueError(f"action tensor has shape {self.action.shape}")
         self.dim = self.action.shape[1]
         self.action.flags.writeable = False
-        # Filled by series: each series by kind, its terms' vertex dimensions,
-        # and the subquotient of each pair of terms as (action, lift, proj,
-        # _vertex); the duals by f_dual and a_dual; the vertex basis by
-        # _vertex_basis, into a list that series can share among wrappers
-        # before it is filled.
-        self._series: dict[str, list[Subspace]] = {}
-        self._series_dims: dict[str, np.ndarray] = {}
-        self._subquotients: dict[tuple[Subspace, Subspace], tuple] = {}
-        self._vertex: list[tuple[list[Subspace], list[np.ndarray]]] = []
-        self._f_dual: Module | None = None
-        self._a_dual: ADualModule | None = None
+        # Derived data by key: "vertex", "f_dual", "a_dual"; from series, each
+        # series by kind, its terms' vertex dimensions by (kind, "dims") and
+        # each pair of terms by (top, bot) as (action, lift, proj, cache).
+        self._cache: dict = {}
         if check:
             self._verify()
 
@@ -112,17 +106,17 @@ class Module:
     def _vertex_basis(self) -> tuple[list[Subspace], list[np.ndarray]]:
         """(R, C): R[i] = V e_i and C[i] = action[i][:, R[i].pivots] for each
         vertex i, so action[i] = C[i]·R[i].basis and R[j].basis·C[i] is 1 if
-        j == i, else 0.  Computed once per action, which nothing reassigns;
-        series shares _vertex among the wrappers of one cached subquotient."""
-        if not self._vertex:
+        j == i, else 0.  Computed once per action, which nothing reassigns,
+        and kept in _cache, which the wrappers of one series quotient share."""
+        if "vertex" not in self._cache:
             p = self.algebra.p
             rows = [Subspace.from_rows(e, self.dim, p)
                     for e in self.action[: self.algebra.num_vertices]]
             cols = [e[:, r.pivots] for e, r in zip(self.action, rows)]
             for c in cols:
                 c.flags.writeable = False
-            self._vertex.append((rows, cols))
-        return self._vertex[0]
+            self._cache["vertex"] = (rows, cols)
+        return self._cache["vertex"]
 
     def act(self, x: np.ndarray) -> np.ndarray:
         """Action matrix of an arbitrary algebra element (row convention)."""
@@ -292,9 +286,11 @@ def f_dual(v: Module) -> Module:
     action tensor on the nose.  The dual is built once per module and
     cached on it, so its own filtrations are computed once too.
     """
-    if v._f_dual is None:
-        v._f_dual = Module(v.algebra.opposite(), v.action.transpose(0, 2, 1).copy(), check=False)
-    return v._f_dual
+    if "f_dual" not in v._cache:
+        # % p keeps its operand's strides: without the copy the action is not C-contiguous.
+        v._cache["f_dual"] = Module(v.algebra.opposite(), v.action.transpose(0, 2, 1).copy(),
+                                    check=False)
+    return v._cache["f_dual"]
 
 
 def f_dual_map(f: ModuleMap) -> ModuleMap:
@@ -423,9 +419,9 @@ def a_dual(v: Module) -> ADualModule:
     map with left multiplication.  Checking it on the generators suffices,
     as it is multiplicative.  Built once and cached on v, as f_dual is.
     """
-    if v._a_dual is None:
-        v._a_dual = _build_a_dual(v)
-    return v._a_dual
+    if "a_dual" not in v._cache:
+        v._cache["a_dual"] = _build_a_dual(v)
+    return v._cache["a_dual"]
 
 
 def _build_a_dual(v: Module) -> ADualModule:

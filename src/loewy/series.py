@@ -4,14 +4,14 @@ For a right module V, rad^n V is the span of rad^{n-1} V * g and soc^n V
 holds the x with x * g in soc^{n-1} V, over the arrow blocks
 g = e_s * (arrow) * e_t, which generate rad A on both sides.  Each
 whole series is computed once per module by linalg.radical_chain or
-linalg.socle_chain and kept on it as a list, indexed clipped to its
-end.  Modules and their subspaces never change after construction, so
-layers, capitals, socle submodules, the adjunction and the duality maps
-all read the same terms.  layer_table counts the simples in each layer
-as dim(W e_j) - dim(W' e_j) without building the layer: in graded
+linalg.socle_chain and kept in its cache as a list, indexed clipped to
+its end.  Modules and their subspaces never change after construction,
+so layers, capitals, socle submodules, the adjunction and the duality
+maps all read the same terms.  layer_table counts the simples in each
+layer as dim(W e_j) - dim(W' e_j) without building the layer: in graded
 coordinates, read off the module's vertex basis, which put each V e_j on
 its own block of columns, one elimination of a term W counts every
-dim(W e_j), and the counts are kept on the module.  Layers are explicit
+dim(W e_j), and the counts are kept in the cache.  Layers are explicit
 subquotient modules that remember projection/section coordinate maps
 into the parent, which makes the capital/socle adjunction and the two
 duality isomorphisms exact matrix identities rather than approximate
@@ -19,11 +19,12 @@ constructions.
 
 Layers, capitals and socle submodules are quotients W/W' of two terms
 of one series, and each pair of terms is built by subquotient once per
-module, whichever series and levels name it.  The module keeps only the
-read-only data (action, lift, proj) and the holder of the subquotient's
-vertex basis, keyed by the pair (W, W'), never the subquotient itself,
-which holds its parent; later requests wrap that data in a new
-SubquotientModule without testing or eliminating it again.  The maps
+module, whichever series and levels name it.  The module's cache keeps
+under (W, W') the read-only (action, lift, proj) and the subquotient's
+own cache, never the subquotient, which holds its parent.  Later
+requests wrap them in a new SubquotientModule that adopts that cache, so
+all wrappers of one pair share its vertex basis, series, duals and
+nested quotients, and nothing is tested or eliminated again.  The maps
 built here carry the adjunction and the duality isomorphisms, and every
 one of them is checked to intertwine.
 """
@@ -92,11 +93,10 @@ def radical_n(v: Module, n: int) -> Subspace:
 
 def _series(v: Module, kind: str) -> list[Subspace]:
     """v's whole radical or socle series, computed once."""
-    terms = v._series.get(kind)
-    if terms is None:
+    if kind not in v._cache:
         chain = radical_chain if kind == "radical" else socle_chain
-        terms = v._series[kind] = chain(v.algebra._block_actions(v.action), v.algebra.p)
-    return terms
+        v._cache[kind] = chain(v.algebra._block_actions(v.action), v.algebra.p)
+    return v._cache[kind]
 
 
 def _term(v: Module, kind: str, n: int) -> Subspace:
@@ -113,16 +113,17 @@ _TERMS = {"radical": radical_n, "socle": socle_n}
 def _series_quotient(v: Module, kind: str, upper: int, lower: int) -> SubquotientModule:
     """W_upper / W_lower for the terms W_n = rad^n V (radical kind) or
     soc^n V (socle kind), built by subquotient once per module and pair
-    of terms."""
+    of terms.  Later wrappers adopt the first build's cache."""
     term = _TERMS[kind]
     top, bot = term(v, upper), term(v, lower)
-    if (top, bot) in v._subquotients:
-        action, lift, proj, vertex = v._subquotients[top, bot]
-        sub = SubquotientModule(v.algebra, action, v, top, bot, lift, proj, check=False)
-        sub._vertex = vertex
+    data = v._cache.get((top, bot))
+    if data is None:
+        sub = subquotient(v, top, bot)
+        v._cache[top, bot] = (sub.action, sub.lift, sub.proj, sub._cache)
         return sub
-    sub = subquotient(v, top, bot)
-    v._subquotients[top, bot] = (sub.action, sub.lift, sub.proj, sub._vertex)
+    action, lift, proj, cache = data
+    sub = SubquotientModule(v.algebra, action, v, top, bot, lift, proj, check=False)
+    sub._cache = cache
     return sub
 
 
@@ -212,15 +213,8 @@ def dual_socle_capital_iso(u: Module, n: int) -> tuple[ModuleMap, ModuleMap]:
     back along the projection.  Both are linear over the opposite algebra
     and the construction checks they invert each other exactly.
     """
-    du = f_dual(u)
-    soc = socle_submodule(du, n)
-    cap = capital_n(u, n)
-    cap_dual = f_dual(cap)
-    p = u.algebra.p
-    eta = ModuleMap(soc, cap_dual, matmul_mod(soc.lift, cap.lift.T, p))
-    xi = ModuleMap(cap_dual, soc, matmul_mod(cap.proj.T, soc.proj, p))
-    _check_mutually_inverse(eta, xi)
-    return eta, xi
+    to_soc, from_soc = _dual_of_quotient(capital_n(u, n), socle_submodule(f_dual(u), n))
+    return from_soc, to_soc
 
 
 def dual_layer_iso(u: Module, n: int) -> tuple[ModuleMap, ModuleMap]:
@@ -241,13 +235,20 @@ def dual_layer_iso(u: Module, n: int) -> tuple[ModuleMap, ModuleMap]:
         soc, rad = socle_n(u, m), radical_n(du, m)
         if soc.dim + rad.dim != u.dim or matmul_mod(soc.basis, rad.basis.T, p).any():
             raise ValueError("dual radical series does not annihilate the socle series")
-    lay = socle_layer(u, n)
-    dual_lay = f_dual(lay)
-    rad_lay = radical_layer(du, n)
-    eta = ModuleMap(dual_lay, rad_lay, matmul_mod(lay.proj.T, rad_lay.proj, p))
-    xi = ModuleMap(rad_lay, dual_lay, matmul_mod(rad_lay.lift, lay.lift.T, p))
-    _check_mutually_inverse(eta, xi)
-    return eta, xi
+    return _dual_of_quotient(socle_layer(u, n), radical_layer(du, n))
+
+
+def _dual_of_quotient(quo: SubquotientModule,
+                      dual_quo: SubquotientModule) -> tuple[ModuleMap, ModuleMap]:
+    """Checked mutually inverse maps f_dual(quo) <-> dual_quo, for quo = W/W'
+    of U and dual_quo = ann W' / ann W of f_dual(U): forward extends a
+    functional along quo.proj, backward restricts a representative to quo.lift."""
+    p = quo.algebra.p
+    dual = f_dual(quo)
+    forward = ModuleMap(dual, dual_quo, matmul_mod(quo.proj.T, dual_quo.proj, p))
+    backward = ModuleMap(dual_quo, dual, matmul_mod(dual_quo.lift, quo.lift.T, p))
+    _check_mutually_inverse(forward, backward)
+    return forward, backward
 
 
 def _check_mutually_inverse(f: ModuleMap, g: ModuleMap) -> None:
@@ -293,13 +294,13 @@ def _vertex_dims(v: Module, kind: str, levels: int) -> np.ndarray:
     the W e_j, and the reduced echelon form of W·graded is the union of
     the blocks' forms: its pivots in block j number dim(W e_j).
     """
-    counts = v._series_dims.get(kind)
+    counts = v._cache.get((kind, "dims"))
     if counts is None:
         p = v.algebra.p
         rows, cols = v._vertex_basis()
         graded = np.hstack(cols)  # d x d
         block = np.repeat(np.arange(len(rows)), [r.dim for r in rows])  # block of each column
-        counts = v._series_dims[kind] = np.array(
+        counts = v._cache[kind, "dims"] = np.array(
             [np.bincount(block[rref(matmul_mod(w.basis, graded, p), p)[1]], minlength=len(rows))
              for w in _series(v, kind)])
     return counts[np.minimum(np.arange(levels + 1), len(counts) - 1)].T

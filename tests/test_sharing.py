@@ -110,6 +110,15 @@ def test_series_quotients_are_wrapped_around_one_verified_build():
     assert capital_n(v, 1).lift is radical_layer(v, 1).lift
     # Past the Loewy length of V every level names the same pair of terms.
     assert capital_n(v, 4).proj is capital_n(v, 9).proj
+    # Two wrappers of one pair share what is derived from it, nested
+    # quotients included.
+    assert f_dual(first) is f_dual(again) and a_dual(first) is a_dual(again)
+    assert radical_n(first, 1) is radical_n(again, 1)
+    nested, nested_again = capital_n(first, 1), capital_n(again, 1)
+    assert nested.parent is first and nested_again.parent is again
+    assert nested_again.lift is nested.lift and nested_again.proj is nested.proj
+    assert np.array_equal(nested_again.action, nested.action)
+    assert nested_again._vertex_basis() is nested._vertex_basis()
 
 
 def test_shared_arrays_are_read_only():
@@ -164,21 +173,29 @@ def test_run_corpus_builds_each_subquotient_once(monkeypatch):
 
 def test_run_corpus_eliminates_the_vertex_blocks_of_each_subquotient_once(monkeypatch):
     original = Module._vertex_basis
-    computed = []
+    computed, dualized = [], []
+
+    def key(v):
+        return (id(v.parent), v.top, v.bot) if isinstance(v, SubquotientModule) else id(v)
 
     def counting(v):
-        if not v._vertex:
-            # holding v keeps the ids distinct
-            key = (id(v.parent), v.top, v.bot) if isinstance(v, SubquotientModule) else id(v)
-            computed.append((v, key))
+        if "vertex" not in v._cache:
+            computed.append((v, key(v)))  # holding v keeps the ids distinct
         return original(v)
 
+    def dualizing(v):
+        if "f_dual" not in v._cache:
+            dualized.append((v, key(v)))
+        return f_dual(v)
+
     monkeypatch.setattr(Module, "_vertex_basis", counting)
+    _rebind(monkeypatch, f_dual, dualizing)
     reports = run_corpus([("nakayama-k3-l3", build_nakayama(3, 3)),
                           ("relations", spec_to_algebra(RELATIONS_SPEC))])
     assert [r.status for r in reports] == ["pass", "unknown"]
-    keys = [key for _, key in computed]
-    assert keys and len(set(keys)) == len(keys)
+    for built in (computed, dualized):
+        keys = [k for _, k in built]
+        assert keys and len(set(keys)) == len(keys)
     # A rewrapped series quotient reads the vertex basis of the first build.
     v = projective(build_nakayama(2, 3), 0)
     assert radical_layer(v, 2)._vertex_basis() is radical_layer(v, 2)._vertex_basis()
@@ -212,6 +229,10 @@ def test_algebra_and_its_cached_modules_are_freed_without_the_cycle_collector():
             socle_submodule(v, 1)
             radical_layer(v, 2)
             socle_layer(f_dual(v), 1)
+            # Derived data of rewraps, kept in the dict they share.
+            f_dual(capital_n(v, 1))
+            a_dual(radical_layer(v, 1))
+            capital_n(radical_layer(v, 2), 1)
         reports = run_corpus([("relations", a)])
         alive = [weakref.ref(x) for x in (a, opp, *mods, a_dual(mods[0]))]
         del a, opp, mods, v
