@@ -260,6 +260,14 @@ def build_path_algebra(quiver: Quiver, relations, truncation: int, p: int = 5) -
     return _Presentation(quiver, relations, truncation, p).build()
 
 
+# The associativity check in Algebra._verify_structure runs over the a's in
+# blocks whose two products have at most this many output entries each, at
+# least one a per block.  That is one block for Nakayama (6, 6), dimension
+# 42, and keeps the check's arrays well below the d**3 entries of the table
+# at dimension 156 and above.
+_ASSOC_BLOCK_ENTRIES = 1 << 20
+
+
 class Algebra:
     """A basic algebra with a path-representative basis and dense structure constants.
 
@@ -335,19 +343,19 @@ class Algebra:
     def _verify_structure(self) -> None:
         p, d, k = self.p, self.dim, self.num_vertices
         t = self.table
-        by_right = t.transpose(1, 0, 2).reshape(d, d * d)  # [c, (a, e)] = (a*c)_e
         ident = np.eye(d, dtype=np.int64)
         # identity element
-        left = matmul_mod(self.one, t.reshape(d, d * d), p).reshape(d, d)
-        right = matmul_mod(self.one, by_right, p).reshape(d, d)
+        left = matmul_mod(self.one, t.reshape(d, d * d), p).reshape(d, d)  # [b] = 1*b
+        right = matmul_mod(self.one, t, p)  # [a] = a*1
         if not (np.array_equal(left, ident) and np.array_equal(right, ident)):
             raise ValueError("identity check failed")
-        # orthogonal idempotents on the trivial paths
-        for i in range(k):
-            for j in range(k):
-                expect = ident[i] if i == j else np.zeros(d, dtype=np.int64)
-                if not np.array_equal(t[i, j], expect):
-                    raise ValueError(f"idempotent check failed at e{i} * e{j}")
+        # orthogonal idempotents on the trivial paths: e_i * e_j = delta_ij e_i
+        expect = np.zeros((k, k, d), dtype=np.int64)
+        expect[range(k), range(k), range(k)] = 1
+        bad = (t[:k, :k] != expect).any(axis=2)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"idempotent check failed at e{i} * e{j}")
         # radical coordinates never produce idempotent components
         if t[:, k:, :k].any() or t[k:, :, :k].any():
             raise ValueError("products of radical elements leak into degree zero")
@@ -355,14 +363,47 @@ class Algebra:
         # generator g.  Then (x*y)*(w*g) = ((x*y)*w)*g = (x*(y*w))*g = x*(y*(w*g))
         # by induction on the length of w, a product of generators, so all of A
         # associates: __init__ reads off the radical chain that they generate.
-        # Both sides are 2-D products, one generator at a time, so that large
-        # algebras reach the float64 tier of matmul_mod.
-        right_mult = t[:, self.generator_indices(), :].transpose(1, 0, 2)  # z -> z * g
-        for r_g in right_mult:
-            lhs = matmul_mod(t.reshape(d * d, d), r_g, p).reshape(d, d, d)  # [a, b] = (a*b)*g
-            rhs = matmul_mod(r_g, by_right, p).reshape(d, d, d)  # [b, a] = a*(b*g)
-            if not np.array_equal(lhs, rhs.transpose(1, 0, 2)):
+        #
+        # Only products that can be nonzero are computed.  A zero row a*b
+        # gives (a*b)*g = 0 for every g, and a zero row b*g gives a*(b*g) = 0
+        # for every a.  So the left side is one product of the nonzero rows
+        # a*b against all generators at once, and the right side one product
+        # of the nonzero rows b*g against all a at once.  On a row a*b != 0 the
+        # left side must equal the right side at (b, g), or 0 where b*g = 0.
+        # At a pair with a*b = 0 every right-side entry must be 0; where
+        # b*g = 0 too, both sides are 0.  That is every (a, b, g) equation.
+        # The a's run in consecutive blocks (_ASSOC_BLOCK_ENTRIES): the left
+        # side on the rows a*b of the block, the right side on its columns.
+        gens = self.generator_indices()
+        n = len(gens)
+        by_gen = t[:, gens, :]  # [c, g] = c*g
+        by_gens = by_gen.reshape(d, n * d)
+        ab = t.any(axis=2)  # a*b != 0
+        la, lb = np.nonzero(ab)  # the nonzero a*b, ordered by a
+        rb, rg = np.nonzero(by_gen.any(axis=2))  # the nonzero b*g
+        bg_rows = by_gen[rb, rg]
+        row_of = np.full((d, n), -1)  # the row of b*g in bg_rows, or -1 where b*g = 0
+        row_of[rb, rg] = np.arange(len(rb))
+        l_start = np.concatenate(([0], np.cumsum(ab.sum(axis=1))))  # left rows before each a
+        l_rows = _ASSOC_BLOCK_ENTRIES // (n * d)
+        # Each b = b*1 = sum of b*e_i has a nonzero b*e_i, so len(rb) >= d.
+        a_step = _ASSOC_BLOCK_ENTRIES // (len(rb) * d)  # a's per right-side block
+        lo = 0
+        while lo < d:
+            hi = int(np.searchsorted(l_start, l_start[lo] + l_rows, "right")) - 1
+            hi = max(min(hi, lo + a_step), lo + 1)
+            ls = slice(l_start[lo], l_start[hi])
+            a_of, at = la[ls], row_of[lb[ls]]
+            by_right = t[lo:hi].transpose(1, 0, 2).reshape(d, -1)  # [c, (a, e)] = (a*c)_e
+            rhs = matmul_mod(bg_rows, by_right, p).reshape(-1, hi - lo, d)  # [(b, g), a] = a*(b*g)
+            # The right side, the larger product, runs first, while the block holds
+            # no other product: that lowers the peak memory.
+            lhs = matmul_mod(t[a_of, lb[ls]], by_gens, p).reshape(-1, n, d)  # [(a, b), g] = (a*b)*g
+            want = rhs[at, a_of[:, None] - lo]
+            want[at < 0] = 0
+            if not np.array_equal(lhs, want) or (rhs.any(axis=2) & ~ab[lo:hi, rb].T).any():
                 raise ValueError("associativity check failed")
+            lo = hi
 
     def radical_power(self, n: int) -> Subspace:
         """The subspace rad^n, with rad^0 the whole algebra."""

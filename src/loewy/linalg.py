@@ -181,6 +181,8 @@ def kernel(m: np.ndarray, p: int) -> "Subspace":
 class Subspace:
     """A subspace of F^ambient held as a reduced row-echelon basis."""
 
+    _hash: int | None = None  # set by the first __hash__
+
     def __init__(self, basis: np.ndarray, ambient: int, p: int, pivots: list[int]):
         # Internal constructor for a basis already in reduced row-echelon
         # form with these pivots, as kernel builds it; otherwise use
@@ -239,7 +241,10 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.p, self.basis.tobytes()))
+        # The basis is read-only, so it is serialized and hashed once.
+        if self._hash is None:
+            self._hash = hash((self.ambient, self.p, self.basis.tobytes()))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, p={self.p})"

@@ -146,6 +146,17 @@ class SubquotientModule(Module):
         self.proj = proj
         lift.flags.writeable = proj.flags.writeable = False
 
+    @classmethod
+    def _rewrap(cls, parent: Module, top: Subspace, bot: Subspace, action: np.ndarray,
+                lift: np.ndarray, proj: np.ndarray, cache: dict) -> "SubquotientModule":
+        """Another wrapper of top/bot, on the read-only action, lift, proj and
+        cache of its first build as they are: nothing is reduced, copied or
+        checked again.  It sets every attribute that __init__ sets."""
+        sub = cls.__new__(cls)
+        sub.algebra, sub.action, sub.dim, sub._cache = parent.algebra, action, action.shape[1], cache
+        sub.parent, sub.top, sub.bot, sub.lift, sub.proj = parent, top, bot, lift, proj
+        return sub
+
 
 class ModuleMap:
     """A module homomorphism source -> target as a matrix on row vectors."""

@@ -22,11 +22,11 @@ of one series, and each pair of terms is built by subquotient once per
 module, whichever series and levels name it.  The module's cache keeps
 under (W, W') the read-only (action, lift, proj) and the subquotient's
 own cache, never the subquotient, which holds its parent.  Later
-requests wrap them in a new SubquotientModule that adopts that cache, so
-all wrappers of one pair share its vertex basis, series, duals and
-nested quotients, and nothing is tested or eliminated again.  The maps
-built here carry the adjunction and the duality isomorphisms, and every
-one of them is checked to intertwine.
+requests wrap them, as they are, in a new SubquotientModule, so all
+wrappers of one pair share its action, its vertex basis, series, duals
+and nested quotients, and nothing is reduced, tested or eliminated
+again.  The maps built here carry the adjunction and the duality
+isomorphisms, and every one of them is checked to intertwine.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ _TERMS = {"radical": radical_n, "socle": socle_n}
 def _series_quotient(v: Module, kind: str, upper: int, lower: int) -> SubquotientModule:
     """W_upper / W_lower for the terms W_n = rad^n V (radical kind) or
     soc^n V (socle kind), built by subquotient once per module and pair
-    of terms.  Later wrappers adopt the first build's cache."""
+    of terms.  Later wrappers share the first build's arrays and cache."""
     term = _TERMS[kind]
     top, bot = term(v, upper), term(v, lower)
     data = v._cache.get((top, bot))
@@ -121,10 +121,7 @@ def _series_quotient(v: Module, kind: str, upper: int, lower: int) -> Subquotien
         sub = subquotient(v, top, bot)
         v._cache[top, bot] = (sub.action, sub.lift, sub.proj, sub._cache)
         return sub
-    action, lift, proj, cache = data
-    sub = SubquotientModule(v.algebra, action, v, top, bot, lift, proj, check=False)
-    sub._cache = cache
-    return sub
+    return SubquotientModule._rewrap(v, top, bot, *data)
 
 
 def capital_n(v: Module, n: int) -> SubquotientModule:

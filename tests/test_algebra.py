@@ -12,7 +12,8 @@ from loewy import (
     is_symmetric,
     linear_quiver_algebra,
 )
-from loewy.linalg import PrimeField, Subspace
+from loewy import algebra as algebra_module
+from loewy.linalg import PrimeField, Subspace, matmul_mod
 
 P = 5
 
@@ -297,6 +298,133 @@ def test_non_associative_table_is_rejected(dim):
     table[x, y] = _unit(z, dim)
     with pytest.raises(ValueError, match="associativity"):
         Algebra(a.field, table, a.labels, a.path_lengths, a.num_vertices)
+
+
+def _dense_associative(t, gens, p):
+    """The reference for the constructor's check: (a*b)*g = a*(b*g) for
+    every pair of basis elements a, b and each generator g, as two dense
+    d x d x d products per generator, with no zero row skipped."""
+    d = len(t)
+    by_right = t.transpose(1, 0, 2).reshape(d, d * d)  # [c, (a, e)] = (a*c)_e
+    for r_g in t[:, gens, :].transpose(1, 0, 2):
+        lhs = matmul_mod(t.reshape(d * d, d), r_g, p).reshape(d, d, d)  # [a, b] = (a*b)*g
+        rhs = matmul_mod(r_g, by_right, p).reshape(d, d, d)  # [b, a] = a*(b*g)
+        if not np.array_equal(lhs, rhs.transpose(1, 0, 2)):
+            return False
+    return True
+
+
+def _relations_algebra(p):
+    """Dim 13, with a two-term relation whose coefficients are near p."""
+    q = Quiver(2, [Arrow("a0", 1, 0), Arrow("a1", 1, 0), Arrow("a2", 1, 1), Arrow("a3", 0, 1)])
+    return build_path_algebra(q, [Relation.of((p - 9723458, ("a2", "a1")), (p - 3, ("a2", "a0")))],
+                              3, p)
+
+
+def _rescaled(a, rng):
+    """a's table on the basis b_i -> s_i b_i, s_i random units, 1 on the
+    vertices: the same algebra, with entries spread over [0, p)."""
+    p = a.p
+    s = rng.integers(1, p, size=a.dim)
+    s[: a.num_vertices] = 1
+    inv = np.array([pow(int(v), p - 2, p) for v in s])
+    return a.table * s[:, None, None] % p * s[None, :, None] % p * inv % p
+
+
+def _rebased(a, rng):
+    """a's table on the basis b'_i = b_i + sum_{j > i} q_ij b_j, the q_ij
+    random on the radical: the same algebra, with few zero products."""
+    p, d, k = a.p, a.dim, a.num_vertices
+    nil = np.triu(rng.integers(0, p, size=(d, d)), 1)
+    nil[:k] = nil[:, :k] = 0
+    q = (np.eye(d, dtype=np.int64) + nil) % p
+    q_inv, term, minus = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64), (p - nil) % p
+    for _ in range(d):  # (1 + N)^-1 = sum of (-N)^n, and N^d = 0
+        term = matmul_mod(term, minus, p)
+        q_inv = (q_inv + term) % p
+    t = matmul_mod(q, a.table.reshape(d, d * d), p).reshape(d, d, d)
+    t = matmul_mod(q, t.transpose(1, 0, 2).reshape(d, d * d), p).reshape(d, d, d)
+    return np.ascontiguousarray(matmul_mod(t.transpose(1, 0, 2), q_inv, p))
+
+
+@pytest.mark.parametrize("budget", [None, 1, 1 << 8, 1 << 14],
+                         ids=["default", "one-a", "2^8", "2^14"])
+def test_associativity_check_agrees_with_the_dense_loop(budget, n22, n32, a3_rebased,
+                                                        monkeypatch):
+    # Each algebra on two bases, then single-entry corruptions of radical
+    # products, which leave identity, idempotents and grading intact.  The
+    # constructor must reject with "associativity" exactly when the dense
+    # loop finds a failing triple.  The algebras cover the three tiers of
+    # matmul_mod: float64 at dim 42, int64 at p = 33554393 and the split
+    # products at p = 2**31 - 1.  Small budgets cut the a's into blocks.
+    cases = [(n22, 20), (n32, 20), (a3_rebased[0], 20), (build_nakayama(6, 6), 4),
+             (_relations_algebra(33554393), 15), (_relations_algebra(2**31 - 1), 15)]
+    if budget is not None:
+        monkeypatch.setattr(algebra_module, "_ASSOC_BLOCK_ENTRIES", budget)
+    rng = np.random.default_rng(2016)
+    seen = []
+    for a, count in cases:
+        k, d, p, gens = a.num_vertices, a.dim, a.p, a.generator_indices()
+        for table in (_rescaled(a, rng), _rebased(a, rng)):
+            assert _dense_associative(table, gens, p)
+            Algebra(a.field, table, a.labels, a.path_lengths, k)
+            for _ in range(count):
+                bad = table.copy()
+                x, y, z = rng.integers(k, d, size=3)
+                bad[x, y, z] = (bad[x, y, z] + rng.integers(1, p)) % p
+                try:
+                    Algebra(a.field, bad, a.labels, a.path_lengths, k)
+                    associates = True
+                except ValueError as err:  # a later check may reject it too
+                    associates = "associativity" not in str(err)
+                assert associates == _dense_associative(bad, gens, p), (a, x, y, z)
+                seen.append(associates)
+    assert True in seen and False in seen
+
+
+@pytest.mark.parametrize("budget,blocks", [(None, 1), (1 << 14, 9), (1, 42)],
+                         ids=["default", "2^14", "one-a"])
+def test_associativity_check_runs_in_blocks_of_a(budget, blocks, monkeypatch):
+    # Nakayama (6, 6) is one block at the default budget; each block is one
+    # product per side, after the two of the identity check.
+    if budget is not None:
+        monkeypatch.setattr(algebra_module, "_ASSOC_BLOCK_ENTRIES", budget)
+    calls = []
+    monkeypatch.setattr(algebra_module, "matmul_mod",
+                        lambda x, y, p: calls.append(x.shape) or matmul_mod(x, y, p))
+    a = build_nakayama(6, 6)
+    calls.clear()
+    a._verify_structure()
+    assert len(calls) == 2 + 2 * blocks
+
+
+def test_failure_seen_only_where_a_product_is_zero_is_rejected():
+    # Basis e, x, y, z, w with y * y = z, x * z = w and every other product of
+    # radical elements zero.  Every triple with a * b != 0 associates, so
+    # only the right side at x * y = 0 sees (x y) y = 0 != w = x (y y).
+    t = np.zeros((5, 5, 5), dtype=np.int64)
+    for i in range(5):
+        t[0, i, i] = t[i, 0, i] = 1
+    t[2, 2, 3] = t[1, 3, 4] = 1
+    for a in range(5):
+        for b in range(5):
+            if t[a, b].any():
+                for g in range(3):  # e, x and y generate
+                    assert np.array_equal(t[a, b] @ t[:, g] % P, t[b, g] @ t[a] % P)
+    assert not _dense_associative(t, np.arange(3), P)
+    with pytest.raises(ValueError, match="associativity"):
+        Algebra(PrimeField(P), t, ["e0", "x", "y", "z", "w"], np.array([0, 1, 1, 2, 3]), 1)
+
+
+def test_idempotent_failure_names_the_first_pair(n32):
+    # e1 * e0 = v, balanced by e2 * e0 = -v, e1 * e2 = -v and e2 * e2 = e2 + v,
+    # so that 1 is still a two-sided identity; e0 * e_j are all intact.
+    bad = n32.table.copy()
+    v = _unit(3, n32.dim)
+    for i, j, sign in [(1, 0, 1), (2, 0, -1), (1, 2, -1), (2, 2, 1)]:
+        bad[i, j] = (bad[i, j] + sign * v) % P
+    with pytest.raises(ValueError, match=r"^idempotent check failed at e1 \* e0$"):
+        Algebra(n32.field, bad, n32.labels, n32.path_lengths, n32.num_vertices)
 
 
 def test_table_not_generated_in_length_one_is_rejected():

@@ -91,6 +91,19 @@ def test_subspace_canonical_under_row_operations():
         assert hash(t) == hash(s)
 
 
+def test_subspace_hash_is_cached_and_equal_on_equal_subspaces():
+    rows = np.array([[1, 2, 0, 3, 4], [0, 1, 4, 1, 2]])
+    s = Subspace.from_rows(rows, 5, P)
+    # the same plane from other, redundant spanning rows, in another order
+    t = Subspace.from_rows([rows[1], (rows[0] + rows[1]) % P, 2 * rows[0] % P, [0] * 5], 5, P)
+    assert s is not t and s == t
+    assert hash(s) == hash(t)
+    assert {s: "plane"}[t] == "plane"
+    # computed on the first call and kept: the basis is read-only
+    assert s.__dict__["_hash"] == hash(s) == hash((5, P, s.basis.tobytes()))
+    assert Subspace.from_rows(rows[:1], 5, P) != s
+
+
 def test_sum_intersection_dimension_formula():
     rng = np.random.default_rng(13)
     for _ in range(20):

@@ -119,6 +119,11 @@ def test_series_quotients_are_wrapped_around_one_verified_build():
     assert nested_again.lift is nested.lift and nested_again.proj is nested.proj
     assert np.array_equal(nested_again.action, nested.action)
     assert nested_again._vertex_basis() is nested._vertex_basis()
+    # A rewrap takes the cached action as it is, read-only and C-contiguous.
+    assert capital_n(v, 1).action is capital_n(v, 1).action
+    assert again.action is first.action and nested_again.action is nested.action
+    for w in (first, again, nested, nested_again):
+        assert not w.action.flags.writeable and w.action.flags.c_contiguous
 
 
 def test_shared_arrays_are_read_only():
