@@ -308,6 +308,11 @@ class Algebra:
         # loewy.modules.  Held weakly: each module links to its algebra, so
         # a strong cache would form a reference cycle.
         self._standard_modules: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        # One record per standard projective and injective, filled by
+        # loewy.modules, which wraps a freed one again from it.  Held
+        # strongly: a record holds arrays, subspaces and plain data only,
+        # never a module.
+        self._standard_records: dict = {}
 
         if self.table.shape != (self.dim, self.dim, self.dim):
             raise ValueError(f"structure table has shape {self.table.shape}")
@@ -344,9 +349,10 @@ class Algebra:
         p, d, k = self.p, self.dim, self.num_vertices
         t = self.table
         ident = np.eye(d, dtype=np.int64)
-        # identity element
-        left = matmul_mod(self.one, t.reshape(d, d * d), p).reshape(d, d)  # [b] = 1*b
-        right = matmul_mod(self.one, t, p)  # [a] = a*1
+        # identity element: 1 = e_0 + ... + e_{k-1}, so 1*b and a*1 add up k
+        # rows of the table, each entry below p.
+        left = t[:k].sum(axis=0) % p  # [b] = 1*b
+        right = t[:, :k].sum(axis=1) % p  # [a] = a*1
         if not (np.array_equal(left, ident) and np.array_equal(right, ident)):
             raise ValueError("identity check failed")
         # orthogonal idempotents on the trivial paths: e_i * e_j = delta_ij e_i
@@ -464,6 +470,7 @@ class Algebra:
             opp._opp = None
             opp._opp_of = weakref.ref(self)
             opp._standard_modules = weakref.WeakValueDictionary()
+            opp._standard_records = {}
             self._opp = opp
         return self._opp
 

@@ -267,8 +267,9 @@ class Subspace:
         return Subspace.from_rows(rows, self.ambient, self.p)
 
 
-def complement_basis(top: Subspace, bot: Subspace) -> np.ndarray:
-    """Reduced row-echelon basis of a complement of bot inside top.
+def complement_basis(top: Subspace, bot: Subspace) -> Subspace:
+    """A complement of bot inside top, with the reduced row-echelon basis and
+    the pivots of the elimination that found it.
 
     Requires bot <= top.  The rows, taken together with bot, span top; they
     are canonical given the two subspaces.
@@ -278,7 +279,7 @@ def complement_basis(top: Subspace, bot: Subspace) -> np.ndarray:
         raise ValueError("complement_basis requires bot <= top")
     reduced = bot.reduce(top.basis)
     r, pivots = rref(reduced, top.p)
-    return r[: len(pivots)].copy()
+    return Subspace(r[: len(pivots)].copy(), top.ambient, top.p, pivots)
 
 
 def radical_chain(mats: np.ndarray, p: int) -> list[Subspace]:

@@ -15,11 +15,20 @@ lift and proj of a subquotient, are read-only arrays.  What is derived
 from a module is therefore computed once and shared.  The standard
 modules of an algebra are kept on it weakly, so regular_module,
 projective, injective and simple return the same object for as long as
-some caller holds it.  Everything else derived from a module is kept in
-one dict, Module._cache, under a key per entry, and a rewrapped series
-quotient adopts the dict of its first build.  No cached value points
-back at its owner, so an algebra and every module built over it are
-freed by reference counting alone.
+some caller holds it.  What else is derived from a module is kept in two
+dicts under a key per entry: the plain data (vertex basis, series and
+their vertex dimensions) in Module._data, and the derived modules (duals
+and series quotients) in Module._cache.  A rewrapped series quotient
+adopts both dicts of its first build.
+
+The standard projectives P_i and injectives I_i are built once per
+algebra.  The algebra keeps a record of each, strongly: its read-only
+arrays and subspaces and its _data, never a module.  When the module
+itself has been freed, projective and injective wrap the record again,
+so nothing is reduced, checked or derived a second time; the derived
+modules of _cache are built again on request.  No cached value or
+record points back at a module's owner, so an algebra and every module
+built over it are freed by reference counting alone.
 
 Each module keeps one vertex basis (Module._vertex_basis), on which
 hom_space solves, layer_table counts and find_isomorphism reads tops.
@@ -76,12 +85,26 @@ class Module:
             raise ValueError(f"action tensor has shape {self.action.shape}")
         self.dim = self.action.shape[1]
         self.action.flags.writeable = False
-        # Derived data by key: "vertex", "f_dual", "a_dual"; from series, each
-        # series by kind, its terms' vertex dimensions by (kind, "dims") and
-        # each pair of terms by (top, bot) as (action, lift, proj, cache).
+        # Plain data by key: "vertex"; from series, each series by kind and
+        # its terms' vertex dimensions by (kind, "dims").  A standard
+        # module's record holds this dict, so it holds no module.
+        self._data: dict = {}
+        # Derived modules by key: "f_dual", "a_dual"; from series, each pair
+        # of terms by (top, bot) as (action, lift, proj, _data, _cache).
         self._cache: dict = {}
         if check:
             self._verify()
+
+    @classmethod
+    def _rewrap(cls, algebra: Algebra, action: np.ndarray, data: dict,
+                cache: dict | None = None) -> "Module":
+        """Another wrapper of a read-only action built and checked before,
+        with the dicts derived from it, as they are: nothing is reduced,
+        copied or checked again.  It sets every attribute that __init__ sets."""
+        v = cls.__new__(cls)
+        v.algebra, v.action, v.dim = algebra, action, action.shape[1]
+        v._data, v._cache = data, {} if cache is None else cache
+        return v
 
     def _verify(self) -> None:
         a, p, d = self.algebra, self.algebra.p, self.dim
@@ -107,16 +130,16 @@ class Module:
         """(R, C): R[i] = V e_i and C[i] = action[i][:, R[i].pivots] for each
         vertex i, so action[i] = C[i]·R[i].basis and R[j].basis·C[i] is 1 if
         j == i, else 0.  Computed once per action, which nothing reassigns,
-        and kept in _cache, which the wrappers of one series quotient share."""
-        if "vertex" not in self._cache:
+        and kept in _data, which every wrapper of the action shares."""
+        if "vertex" not in self._data:
             p = self.algebra.p
             rows = [Subspace.from_rows(e, self.dim, p)
                     for e in self.action[: self.algebra.num_vertices]]
             cols = [e[:, r.pivots] for e, r in zip(self.action, rows)]
             for c in cols:
                 c.flags.writeable = False
-            self._cache["vertex"] = (rows, cols)
-        return self._cache["vertex"]
+            self._data["vertex"] = (rows, cols)
+        return self._data["vertex"]
 
     def act(self, x: np.ndarray) -> np.ndarray:
         """Action matrix of an arbitrary algebra element (row convention)."""
@@ -147,13 +170,12 @@ class SubquotientModule(Module):
         lift.flags.writeable = proj.flags.writeable = False
 
     @classmethod
-    def _rewrap(cls, parent: Module, top: Subspace, bot: Subspace, action: np.ndarray,
-                lift: np.ndarray, proj: np.ndarray, cache: dict) -> "SubquotientModule":
-        """Another wrapper of top/bot, on the read-only action, lift, proj and
-        cache of its first build as they are: nothing is reduced, copied or
-        checked again.  It sets every attribute that __init__ sets."""
-        sub = cls.__new__(cls)
-        sub.algebra, sub.action, sub.dim, sub._cache = parent.algebra, action, action.shape[1], cache
+    def _rewrap_of(cls, parent: Module, top: Subspace, bot: Subspace, action: np.ndarray,
+                   lift: np.ndarray, proj: np.ndarray, data: dict,
+                   cache: dict | None = None) -> "SubquotientModule":
+        """Module._rewrap of top/bot of parent, with the read-only lift and
+        proj of its first build."""
+        sub = cls._rewrap(parent.algebra, action, data, cache)
         sub.parent, sub.top, sub.bot, sub.lift, sub.proj = parent, top, bot, lift, proj
         return sub
 
@@ -244,10 +266,11 @@ def subquotient(v: Module, top: Subspace, bot: Subspace) -> SubquotientModule:
         moved = matmul_mod(w.basis, generators, p)  # (generators, w.dim, d)
         if w.dim and moved.size and not w.contains_vector(moved.reshape(-1, d)):
             raise ValueError("subspace is not invariant under the algebra action")
-    lift = complement_basis(top, bot)  # raises unless bot <= top
-    # lift is in reduced echelon form: each row's first nonzero is its pivot.
-    piv_c = [int(np.flatnonzero(row)[0]) for row in lift]
-    proj = bot.reduce(np.eye(d, dtype=np.int64))[:, piv_c]
+    complement = complement_basis(top, bot)  # raises unless bot <= top
+    lift = complement.basis
+    # Row r of lift has a 1 at its pivot and every other row a 0 there, so
+    # reading the residues modulo bot at the pivots inverts lift.
+    proj = bot.reduce(np.eye(d, dtype=np.int64))[:, complement.pivots]
     # lift·action[c]·proj for every c, the first product as one 2-D product.
     n, q = v.algebra.dim, len(lift)
     lifted = matmul_mod(lift, v.action.transpose(1, 0, 2).reshape(d, n * d), p)
@@ -265,13 +288,19 @@ def quotient_module(v: Module, w: Subspace) -> SubquotientModule:
 
 def projective(a: Algebra, i: int) -> SubquotientModule:
     """The projective P_i = e_i A as a submodule of the regular module,
-    shared while held."""
+    shared while held.  Built once per algebra: when it has been freed,
+    its record is wrapped again."""
     if not (0 <= i < a.num_vertices):
         raise ValueError(f"vertex index {i} out of range")
     v = a._standard_modules.get(("P", i))
     if v is None:
-        span = Subspace.from_rows(a.table[i] % a.p, a.dim, a.p)
-        v = submodule(regular_module(a), span)
+        record = a._standard_records.get(("P", i))
+        if record is None:
+            span = Subspace.from_rows(a.table[i] % a.p, a.dim, a.p)
+            v = submodule(regular_module(a), span)
+            a._standard_records["P", i] = (v.top, v.bot, v.action, v.lift, v.proj, v._data)
+        else:
+            v = SubquotientModule._rewrap_of(regular_module(a), *record)
         v._projective_at = (i, v.lift)
         a._standard_modules[("P", i)] = v
     return v
@@ -279,13 +308,22 @@ def projective(a: Algebra, i: int) -> SubquotientModule:
 
 def injective(a: Algebra, i: int) -> Module:
     """The injective I_i, the linear dual of the opposite projective at i,
-    shared while held.  It keeps the lift of the opposite projective, not
-    the projective itself, whose caches would then live as long as I_i."""
+    shared while held and built once per algebra, as projective is.  It
+    keeps the lift of the opposite projective, not the projective itself,
+    whose caches would then live as long as I_i."""
     v = a._standard_modules.get(("I", i))
     if v is None:
-        q = projective(a.opposite(), i)
-        v = f_dual(q)
-        v._injective_at = (i, q.lift)
+        record = a._standard_records.get(("I", i))
+        if record is None:
+            q = projective(a.opposite(), i)
+            v = f_dual(q)
+            record = a._standard_records["I", i] = (v.action, q.lift, v._data)
+        else:
+            v = Module._rewrap(a, record[0], record[2])
+            held = a.opposite()._standard_modules.get(("P", i))
+            if held is not None:  # f_dual(held) is I_i, as on the first build
+                v = held._cache.setdefault("f_dual", v)
+        v._injective_at = (i, record[1])
         a._standard_modules[("I", i)] = v
     return v
 
@@ -452,7 +490,11 @@ def _build_a_dual(v: Module) -> ADualModule:
     action = matmul_mod(stacked[:, rows].transpose(1, 0, 2),
                         a.table[:, :, cols].transpose(2, 1, 0), a.p).transpose(2, 1, 0).copy()
     gens = a.generator_indices()
-    moved = matmul_mod(stacked, a.table[gens][:, None], a.p).reshape(len(gens), m, -1)
+    n, d_v = len(gens), stacked.shape[1]
+    # moved[g, b] = F_b table[g], as one 2-D product (b, r) x (g, c).
+    moved = matmul_mod(stacked.reshape(m * d_v, a.dim),
+                       a.table[gens].transpose(1, 0, 2).reshape(a.dim, n * a.dim), a.p)
+    moved = moved.reshape(m, d_v, n, a.dim).transpose(2, 0, 1, 3).reshape(n, m, -1)
     if not np.array_equal(moved, matmul_mod(action[gens], stacked.reshape(m, -1), a.p)):
         raise ValueError("left multiplication does not preserve the hom space")
     return ADualModule(a.opposite(), action)

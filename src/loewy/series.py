@@ -4,24 +4,26 @@ For a right module V, rad^n V is the span of rad^{n-1} V * g and soc^n V
 holds the x with x * g in soc^{n-1} V, over the arrow blocks
 g = e_s * (arrow) * e_t, which generate rad A on both sides.  Each
 whole series is computed once per module by linalg.radical_chain or
-linalg.socle_chain and kept in its cache as a list, indexed clipped to
-its end.  Modules and their subspaces never change after construction,
+linalg.socle_chain and kept in its plain data as a list, indexed clipped
+to its end.  Modules and their subspaces never change after construction,
 so layers, capitals, socle submodules, the adjunction and the duality
 maps all read the same terms.  layer_table counts the simples in each
 layer as dim(W e_j) - dim(W' e_j) without building the layer: in graded
 coordinates, read off the module's vertex basis, which put each V e_j on
 its own block of columns, one elimination of a term W counts every
-dim(W e_j), and the counts are kept in the cache.  Layers are explicit
-subquotient modules that remember projection/section coordinate maps
-into the parent, which makes the capital/socle adjunction and the two
-duality isomorphisms exact matrix identities rather than approximate
-constructions.
+dim(W e_j), and the counts are kept with the series.  A standard
+projective or injective wrapped again from its algebra's record shares
+that plain data, so its series and counts are not derived again.
+Layers are explicit subquotient modules that remember projection/section
+coordinate maps into the parent, which makes the capital/socle
+adjunction and the two duality isomorphisms exact matrix identities
+rather than approximate constructions.
 
 Layers, capitals and socle submodules are quotients W/W' of two terms
 of one series, and each pair of terms is built by subquotient once per
 module, whichever series and levels name it.  The module's cache keeps
 under (W, W') the read-only (action, lift, proj) and the subquotient's
-own cache, never the subquotient, which holds its parent.  Later
+own two dicts, never the subquotient, which holds its parent.  Later
 requests wrap them, as they are, in a new SubquotientModule, so all
 wrappers of one pair share its action, its vertex basis, series, duals
 and nested quotients, and nothing is reduced, tested or eliminated
@@ -93,10 +95,10 @@ def radical_n(v: Module, n: int) -> Subspace:
 
 def _series(v: Module, kind: str) -> list[Subspace]:
     """v's whole radical or socle series, computed once."""
-    if kind not in v._cache:
+    if kind not in v._data:
         chain = radical_chain if kind == "radical" else socle_chain
-        v._cache[kind] = chain(v.algebra._block_actions(v.action), v.algebra.p)
-    return v._cache[kind]
+        v._data[kind] = chain(v.algebra._block_actions(v.action), v.algebra.p)
+    return v._data[kind]
 
 
 def _term(v: Module, kind: str, n: int) -> Subspace:
@@ -113,15 +115,15 @@ _TERMS = {"radical": radical_n, "socle": socle_n}
 def _series_quotient(v: Module, kind: str, upper: int, lower: int) -> SubquotientModule:
     """W_upper / W_lower for the terms W_n = rad^n V (radical kind) or
     soc^n V (socle kind), built by subquotient once per module and pair
-    of terms.  Later wrappers share the first build's arrays and cache."""
+    of terms.  Later wrappers share the first build's arrays and dicts."""
     term = _TERMS[kind]
     top, bot = term(v, upper), term(v, lower)
     data = v._cache.get((top, bot))
     if data is None:
         sub = subquotient(v, top, bot)
-        v._cache[top, bot] = (sub.action, sub.lift, sub.proj, sub._cache)
+        v._cache[top, bot] = (sub.action, sub.lift, sub.proj, sub._data, sub._cache)
         return sub
-    return SubquotientModule._rewrap(v, top, bot, *data)
+    return SubquotientModule._rewrap_of(v, top, bot, *data)
 
 
 def capital_n(v: Module, n: int) -> SubquotientModule:
@@ -291,13 +293,13 @@ def _vertex_dims(v: Module, kind: str, levels: int) -> np.ndarray:
     the W e_j, and the reduced echelon form of W·graded is the union of
     the blocks' forms: its pivots in block j number dim(W e_j).
     """
-    counts = v._cache.get((kind, "dims"))
+    counts = v._data.get((kind, "dims"))
     if counts is None:
         p = v.algebra.p
         rows, cols = v._vertex_basis()
         graded = np.hstack(cols)  # d x d
         block = np.repeat(np.arange(len(rows)), [r.dim for r in rows])  # block of each column
-        counts = v._cache[kind, "dims"] = np.array(
+        counts = v._data[kind, "dims"] = np.array(
             [np.bincount(block[rref(matmul_mod(w.basis, graded, p), p)[1]], minlength=len(rows))
              for w in _series(v, kind)])
     return counts[np.minimum(np.arange(levels + 1), len(counts) - 1)].T

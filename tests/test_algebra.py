@@ -386,7 +386,8 @@ def test_associativity_check_agrees_with_the_dense_loop(budget, n22, n32, a3_reb
                          ids=["default", "2^14", "one-a"])
 def test_associativity_check_runs_in_blocks_of_a(budget, blocks, monkeypatch):
     # Nakayama (6, 6) is one block at the default budget; each block is one
-    # product per side, after the two of the identity check.
+    # product per side.  The identity check adds up rows of the table and
+    # makes no product.
     if budget is not None:
         monkeypatch.setattr(algebra_module, "_ASSOC_BLOCK_ENTRIES", budget)
     calls = []
@@ -395,7 +396,7 @@ def test_associativity_check_runs_in_blocks_of_a(budget, blocks, monkeypatch):
     a = build_nakayama(6, 6)
     calls.clear()
     a._verify_structure()
-    assert len(calls) == 2 + 2 * blocks
+    assert len(calls) == 2 * blocks
 
 
 def test_failure_seen_only_where_a_product_is_zero_is_rejected():
@@ -414,6 +415,26 @@ def test_failure_seen_only_where_a_product_is_zero_is_rejected():
     assert not _dense_associative(t, np.arange(3), P)
     with pytest.raises(ValueError, match="associativity"):
         Algebra(PrimeField(P), t, ["e0", "x", "y", "z", "w"], np.array([0, 1, 1, 2, 3]), 1)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_identity_failing_on_one_side_is_rejected(n32, side):
+    # e0 * a0 (left) or a0 * e1 (right) gains a term.  1 * b adds up the
+    # rows e_i * b and a * 1 the rows a * e_i, so only the entries with a
+    # vertex on that side of a radical element move 1 * a0 or a0 * 1 alone.
+    x = n32.labels.index("a0")
+    bad = n32.table.copy()
+    entry = (0, x) if side == "left" else (x, 1)
+    bad[entry] = (bad[entry] + _unit(x, n32.dim)) % P
+    one = n32.one
+    for y in range(n32.dim):
+        left_ok = np.array_equal(np.einsum("i,j,ijf->f", one, _unit(y, n32.dim), bad) % P,
+                                 _unit(y, n32.dim))
+        right_ok = np.array_equal(np.einsum("i,j,ijf->f", _unit(y, n32.dim), one, bad) % P,
+                                  _unit(y, n32.dim))
+        assert (left_ok, right_ok) == ((y != x, True) if side == "left" else (True, y != x))
+    with pytest.raises(ValueError, match=r"^identity check failed$"):
+        Algebra(n32.field, bad, n32.labels, n32.path_lengths, n32.num_vertices)
 
 
 def test_idempotent_failure_names_the_first_pair(n32):

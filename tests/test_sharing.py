@@ -2,10 +2,13 @@
 
 The standard modules are cached weakly on their algebra, a_dual and
 f_dual on their module, and the verified data of every layer, capital
-and socle submodule on its parent.  These tests check that repeated
-requests return the shared result, that what is shared cannot be
-written, that run_corpus builds each subquotient and its vertex basis
-once, that layer_table eliminates the series of a module once, that
+and socle submodule on its parent.  Each standard projective and
+injective also leaves a record on its algebra, from which it is wrapped
+again once freed.  These tests check that repeated requests return the
+shared result, that what is shared cannot be written, that run_corpus
+builds each subquotient and its vertex basis once, that a standard
+module wrapped again derives nothing again and that its record reaches
+no module, that layer_table eliminates the series of a module once, that
 subquotient still rejects what it must, and that an algebra and every
 module cached over it are freed by reference counting alone.  They also
 check that what subquotient, hom_space and f_dual_map build unchecked
@@ -184,7 +187,7 @@ def test_run_corpus_eliminates_the_vertex_blocks_of_each_subquotient_once(monkey
         return (id(v.parent), v.top, v.bot) if isinstance(v, SubquotientModule) else id(v)
 
     def counting(v):
-        if "vertex" not in v._cache:
+        if "vertex" not in v._data:
             computed.append((v, key(v)))  # holding v keeps the ids distinct
         return original(v)
 
@@ -219,6 +222,102 @@ def test_layer_table_eliminates_the_series_of_a_module_once(monkeypatch):
     for kind in ("radical", "socle"):
         assert layer_table(family, kind) == first[kind]
     assert calls == []
+
+
+def _standard_family(a):
+    k = a.num_vertices
+    return [projective(a, i) for i in range(k)] + [injective(a, i) for i in range(k)]
+
+
+def _record_arrays(v):
+    """The arrays a standard module's record keeps of it."""
+    if isinstance(v, SubquotientModule):
+        return v.action, v.lift, v.proj
+    return v.action, v._injective_at[1]
+
+
+def test_a_freed_standard_module_is_wrapped_again_from_its_record():
+    a = spec_to_algebra(RELATIONS_SPEC)
+    first = _standard_family(a)
+    arrays = [_record_arrays(v) for v in first]
+    copies = [[x.copy() for x in group] for group in arrays]
+    alive = [weakref.ref(v) for v in first]
+    del first
+    assert [r() for r in alive] == [None] * len(alive)
+    held = projective(a.opposite(), 0)  # e_0 A^op, itself wrapped again
+    again = _standard_family(a)
+    assert f_dual(held) is again[a.num_vertices]
+    fresh = _standard_family(spec_to_algebra(RELATIONS_SPEC))
+    for v, w, group, copy in zip(again, fresh, arrays, copies):
+        got = _record_arrays(v)
+        # The arrays of the first build, unchanged, and equal to a new build's.
+        assert all(x is y for x, y in zip(got, group))
+        assert all(map(np.array_equal, got, copy))
+        assert all(map(np.array_equal, got, _record_arrays(w)))
+        assert type(v) is type(w) and v.algebra is a
+    for i, v in enumerate(again[: a.num_vertices]):
+        assert v.parent is regular_module(a) and v._projective_at[0] == i
+        assert (v.top, v.bot) == (fresh[i].top, fresh[i].bot)
+    # Shared while held, and the maps read off the records agree.
+    assert all(x is y for x, y in zip(again, _standard_family(a)))
+    k = a.num_vertices
+    for i in range(k):
+        for j in range(k):
+            got = [f.matrix for f in hom_space(again[i], again[k + j])]
+            want = [f.matrix for f in hom_space(fresh[i], fresh[k + j])]
+            assert len(got) == len(want) and all(map(np.array_equal, got, want))
+
+
+def test_layer_table_on_a_family_wrapped_again_eliminates_nothing(monkeypatch):
+    a = spec_to_algebra(RELATIONS_SPEC)
+    first = {kind: layer_table(_standard_family(a), kind) for kind in ("radical", "socle")}
+    run_corpus([("relations", a)])  # builds and releases the family again
+    calls = []
+    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "loewy"]:
+        original = getattr(mod, "rref", None)
+        if original is not None:
+            monkeypatch.setattr(mod, "rref", lambda m, p, rref=original: calls.append(1) or rref(m, p))
+    for kind in ("radical", "socle"):
+        assert layer_table(_standard_family(a), kind) == first[kind]
+    assert calls == []
+
+
+def _reachable(root):
+    """Every object reachable from root through containers, subspaces and
+    array bases."""
+    seen, stack = {}, [root]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen[id(x)] = x
+        if isinstance(x, dict):
+            stack += [*x.keys(), *x.values()]
+        elif isinstance(x, (tuple, list)):
+            stack += x
+        elif isinstance(x, Subspace):
+            stack += vars(x).values()
+        elif isinstance(x, np.ndarray) and x.base is not None:
+            stack.append(x.base)
+    return list(seen.values())
+
+
+def test_records_and_plain_data_reach_no_module():
+    a = spec_to_algebra(RELATIONS_SPEC)
+    run_corpus([("relations", a)])
+    family = _standard_family(a)
+    for v in family:
+        nakayama(v)
+        layer_table([v], "socle")
+        capital_n(v, 1)
+    roots = [a._standard_records, a.opposite()._standard_records]
+    roots += [v._data for v in family] + [radical_layer(v, 1)._data for v in family]
+    assert len(a._standard_records) == 2 * a.num_vertices
+    assert len(a.opposite()._standard_records) == a.num_vertices  # e_i A^op
+    plain = (dict, tuple, list, Subspace, np.ndarray, np.generic, int, str)
+    for root in roots:
+        found = _reachable(root)
+        assert not [x for x in found if not isinstance(x, plain)]
 
 
 def test_algebra_and_its_cached_modules_are_freed_without_the_cycle_collector():
