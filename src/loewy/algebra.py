@@ -379,7 +379,7 @@ class Algebra:
         # At a pair with a*b = 0 every right-side entry must be 0; where
         # b*g = 0 too, both sides are 0.  That is every (a, b, g) equation.
         # The a's run in consecutive blocks (_ASSOC_BLOCK_ENTRIES): the left
-        # side on the rows a*b of the block, the right side on its columns.
+        # side on the rows a*b of the block, the right side on t[lo:hi].
         gens = self.generator_indices()
         n = len(gens)
         by_gen = t[:, gens, :]  # [c, g] = c*g
@@ -400,14 +400,13 @@ class Algebra:
             hi = max(min(hi, lo + a_step), lo + 1)
             ls = slice(l_start[lo], l_start[hi])
             a_of, at = la[ls], row_of[lb[ls]]
-            by_right = t[lo:hi].transpose(1, 0, 2).reshape(d, -1)  # [c, (a, e)] = (a*c)_e
-            rhs = matmul_mod(bg_rows, by_right, p).reshape(-1, hi - lo, d)  # [(b, g), a] = a*(b*g)
+            rhs = matmul_mod(bg_rows, t[lo:hi], p)  # [a, (b, g)] = a*(b*g)
             # The right side, the larger product, runs first, while the block holds
             # no other product: that lowers the peak memory.
             lhs = matmul_mod(t[a_of, lb[ls]], by_gens, p).reshape(-1, n, d)  # [(a, b), g] = (a*b)*g
-            want = rhs[at, a_of[:, None] - lo]
+            want = rhs[a_of[:, None] - lo, at]
             want[at < 0] = 0
-            if not np.array_equal(lhs, want) or (rhs.any(axis=2) & ~ab[lo:hi, rb].T).any():
+            if not np.array_equal(lhs, want) or (rhs.any(axis=2) & ~ab[lo:hi, rb]).any():
                 raise ValueError("associativity check failed")
             lo = hi
 

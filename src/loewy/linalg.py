@@ -7,9 +7,9 @@ routines are deterministic.
 
 Every product that sums over an index goes through matmul_mod, exact for
 every prime p < 2**31; elimination multiplies only pairs of entries.
-matmul_mod runs large products against a matrix as one float64 BLAS
-product when every partial sum is an integer below 2**53, and so is exact
-whatever order BLAS sums in; all other products run in int64.
+matmul_mod runs large products, stacked ones too, as float64 BLAS products
+when every partial sum is an integer below 2**53, and so is exact whatever
+order BLAS sums in; all other products run in int64.
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-# Products of at least this many multiply-adds (rows * inner * cols) against
-# a matrix go through float64 BLAS when it is exact.  Measured with one BLAS
-# thread: float64 with its conversions and reduction overtakes int64 between
-# 2**12 (16 x 16 x 16: 7.0 against 5.6 us) and 2**13 (32 x 16 x 16: 7.2
-# against 9.2 us), and runs twice as fast from 2**14 on.
+# Products of at least this many multiply-adds (rows * inner * cols, summed
+# over a stack) go through float64 BLAS when it is exact.  Measured with one
+# BLAS thread: float64 with its conversions and reduction overtakes int64
+# between 2**12 (16 x 16 x 16: 7.0 against 5.6 us) and 2**13 (32 x 16 x 16:
+# 7.2 against 9.2 us), and runs twice as fast from 2**14 on.
 _BLAS_MIN_WORK = 1 << 13
 
 
@@ -79,11 +79,13 @@ def matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     entries in [0, p); exact for every prime p < 2**31.
 
     Three tiers, chosen from the shapes and p alone:
-    - when y is a matrix, inner * (p - 1)**2 < 2**53 - p and the product has
-      at least _BLAS_MIN_WORK multiply-adds, the leading axes of x are
-      flattened and multiplied in float64.  Every partial sum is then an
-      integer r with r + p <= 2**53, held exactly in any summation order.
-      A quotient r / p just below an integer m is at least 1 / p below it,
+    - when inner * (p - 1)**2 < 2**53 - p and the product has at least
+      _BLAS_MIN_WORK multiply-adds, counted from below as
+      max(x.size * cols, y.size * rows), it runs in float64, as one product
+      over the flattened leading axes of x when y is a matrix or a vector.
+      Each output entry is one sum whose partial sums are integers r with
+      r + p <= 2**53, exact in any summation order and any layout.  A
+      quotient r / p just below an integer m is at least 1 / p below it,
       more than half a float64 spacing as p * m < r + p <= 2**53, so it
       does not round up to m: floor(r / p) in floating point is the true
       quotient, and r - p * floor(r / p) is r mod p exactly;
@@ -95,14 +97,20 @@ def matmul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     (Dumas-Giorgi-Pernet, ACM TOMS 35(3), 2008).
     """
     inner = x.shape[-1]
-    if y.ndim == 2 and inner * (p - 1) ** 2 < 2**53 - p \
-            and x.size * y.shape[1] >= _BLAS_MIN_WORK:
-        r = x.reshape(-1, inner).astype(np.float64) @ y.astype(np.float64)
+    work = max(x.size * (y.shape[-1] if y.ndim > 1 else 1),
+               y.size * (x.shape[-2] if x.ndim > 1 else 1))
+    if inner * (p - 1) ** 2 < 2**53 - p and work >= _BLAS_MIN_WORK:
+        if y.ndim > 2:
+            r = x.astype(np.float64) @ y.astype(np.float64)
+            shape = r.shape
+        else:  # one 2-D product, whose result is never a scalar
+            r = x.reshape(-1, inner).astype(np.float64) @ y.reshape(inner, -1).astype(np.float64)
+            shape = x.shape[:-1] + y.shape[1:]
         q = r / p
         np.floor(q, out=q)
         q *= p
         r -= q
-        return r.astype(np.int64).reshape(x.shape[:-1] + y.shape[1:])
+        return r.astype(np.int64).reshape(shape)
     if inner * (p - 1) ** 2 < 2**63:
         return (x @ y) % p
     lo, hi = y & 0xFFFF, y >> 16

@@ -271,10 +271,7 @@ def subquotient(v: Module, top: Subspace, bot: Subspace) -> SubquotientModule:
     # Row r of lift has a 1 at its pivot and every other row a 0 there, so
     # reading the residues modulo bot at the pivots inverts lift.
     proj = bot.reduce(np.eye(d, dtype=np.int64))[:, complement.pivots]
-    # lift·action[c]·proj for every c, the first product as one 2-D product.
-    n, q = v.algebra.dim, len(lift)
-    lifted = matmul_mod(lift, v.action.transpose(1, 0, 2).reshape(d, n * d), p)
-    action = matmul_mod(lifted.reshape(q, n, d).transpose(1, 0, 2), proj, p)  # (dimA, q, q)
+    action = matmul_mod(matmul_mod(lift, v.action, p), proj, p)  # lift·action[c]·proj
     return SubquotientModule(v.algebra, action, v, top, bot, lift, proj, check=False)
 
 
@@ -307,22 +304,22 @@ def projective(a: Algebra, i: int) -> SubquotientModule:
 
 
 def injective(a: Algebra, i: int) -> Module:
-    """The injective I_i, the linear dual of the opposite projective at i,
-    shared while held and built once per algebra, as projective is.  It
-    keeps the lift of the opposite projective, not the projective itself,
-    whose caches would then live as long as I_i."""
+    """The injective I_i, the linear dual of e_i A^op, shared while held and
+    built once per algebra, as projective is.  e_i A^op is built as a
+    submodule of the opposite's regular module that nothing records or
+    keeps: I_i keeps only its lift."""
+    if not (0 <= i < a.num_vertices):
+        raise ValueError(f"vertex index {i} out of range")
     v = a._standard_modules.get(("I", i))
     if v is None:
         record = a._standard_records.get(("I", i))
         if record is None:
-            q = projective(a.opposite(), i)
+            opp = a.opposite()
+            q = submodule(regular_module(opp), Subspace.from_rows(opp.table[i], a.dim, a.p))
             v = f_dual(q)
             record = a._standard_records["I", i] = (v.action, q.lift, v._data)
         else:
             v = Module._rewrap(a, record[0], record[2])
-            held = a.opposite()._standard_modules.get(("P", i))
-            if held is not None:  # f_dual(held) is I_i, as on the first build
-                v = held._cache.setdefault("f_dual", v)
         v._injective_at = (i, record[1])
         a._standard_modules[("I", i)] = v
     return v
@@ -407,14 +404,10 @@ def hom_space(u: Module, v: Module) -> list[ModuleMap]:
 def _maps_from_projective(i: int, lift: np.ndarray, v: Module) -> np.ndarray:
     """The maps y -> x y out of e_i A, with basis lift, into v, one for each
     row x of the basis of v e_i: a stack (dim v e_i, len(lift), v.dim)."""
-    a, d = v.algebra, v.dim
+    p = v.algebra.p
     rows = v._vertex_basis()[0][i].basis
-    if rows.shape[0] == 0:
-        return rows.reshape(0, len(lift), d)
-    # moved[x, c] = x·action[c], then lift·moved[x] for every x in one 2-D product.
-    moved = matmul_mod(rows, v.action.transpose(1, 0, 2).reshape(d, a.dim * d), a.p)
-    moved = moved.reshape(-1, a.dim, d).transpose(1, 0, 2).reshape(a.dim, -1)
-    return matmul_mod(lift, moved, a.p).reshape(len(lift), -1, d).transpose(1, 0, 2)
+    moved = matmul_mod(rows, v.action, p)  # [c, x] = x·action[c]
+    return matmul_mod(lift, moved.transpose(1, 0, 2), p)  # [x] = lift·moved[:, x]
 
 
 def _solve_hom(u: Module, v: Module) -> np.ndarray:
@@ -490,11 +483,8 @@ def _build_a_dual(v: Module) -> ADualModule:
     action = matmul_mod(stacked[:, rows].transpose(1, 0, 2),
                         a.table[:, :, cols].transpose(2, 1, 0), a.p).transpose(2, 1, 0).copy()
     gens = a.generator_indices()
-    n, d_v = len(gens), stacked.shape[1]
-    # moved[g, b] = F_b table[g], as one 2-D product (b, r) x (g, c).
-    moved = matmul_mod(stacked.reshape(m * d_v, a.dim),
-                       a.table[gens].transpose(1, 0, 2).reshape(a.dim, n * a.dim), a.p)
-    moved = moved.reshape(m, d_v, n, a.dim).transpose(2, 0, 1, 3).reshape(n, m, -1)
+    # moved[g, b] = F_b table[g]
+    moved = matmul_mod(stacked.reshape(-1, a.dim), a.table[gens], a.p).reshape(len(gens), m, -1)
     if not np.array_equal(moved, matmul_mod(action[gens], stacked.reshape(m, -1), a.p)):
         raise ValueError("left multiplication does not preserve the hom space")
     return ADualModule(a.opposite(), action)

@@ -23,6 +23,7 @@ from loewy import (
     a_dual,
     build_nakayama,
     build_path_algebra,
+    default_corpus,
     expected_delta_table,
     expected_nakayama_shift,
     f_dual,
@@ -42,6 +43,7 @@ from loewy import (
     verify_main_theorem,
     verify_nakayama_identity,
 )
+from loewy import linalg
 from loewy.linalg import _BLAS_MIN_WORK, Subspace, kernel, matmul_mod, rref
 
 P_MAX = 2**31 - 1
@@ -132,21 +134,28 @@ def test_matmul_mod_long_inner_dimension(p, inner):
 TIER_CASES = [(2, 40), (5, 40), (65521, 40), (33554393, 8), (33554393, 9)]
 
 
-@settings(exact, max_examples=40)
-@given(case=st.sampled_from(TIER_CASES), lead=st.sampled_from([(), (2,), (3, 2)]),
+# (leading axes of x, leading axes of y): x of ndim 1, 2 and 3 against a
+# matrix y; then against a stacked y, x 2-D, 3-D and 1-D, and a pair that
+# numpy broadcasts to the leading axes (3, 4).
+TIER_LAYOUTS = [((), ()), ((2,), ()), ((3, 2), ()),
+                ((2,), (3,)), ((3, 2), (3,)), ((), (3,)), ((3, 1, 2), (4,))]
+
+
+@settings(exact, max_examples=60)
+@given(case=st.sampled_from(TIER_CASES), layout=st.sampled_from(TIER_LAYOUTS),
        extra=st.integers(0, 20), seed=st.integers(0, 2**32 - 1), extreme=st.booleans())
-def test_matmul_mod_float_tier_matches_python_integers(case, lead, extra, seed, extreme):
-    # x of ndim 1, 2 and 3 against a matrix y, with at least _BLAS_MIN_WORK
-    # multiply-adds, so that the first four cases run on the float64 tier.
+def test_matmul_mod_float_tier_matches_python_integers(case, layout, extra, seed, extreme):
+    # At least _BLAS_MIN_WORK multiply-adds in x.size * cols alone, so that
+    # the first four cases run on the float64 tier in every layout.
     p, inner = case
-    rows = int(np.prod(lead))
-    cols = -(-_BLAS_MIN_WORK // (rows * inner)) + extra
+    x_lead, y_lead = layout
+    cols = -(-_BLAS_MIN_WORK // (int(np.prod(x_lead)) * inner)) + extra
     rng = np.random.default_rng(seed)
-    x = _operand(rng, p, lead + (inner,), extreme)
-    y = _operand(rng, p, (inner, cols), extreme)
-    got = matmul_mod(x, y, p)
-    assert got.shape == lead + (cols,) and got.dtype == np.int64
-    assert np.array_equal(got, _ref_matmul(x, y, p))
+    x = _operand(rng, p, x_lead + (inner,), extreme)
+    y = _operand(rng, p, y_lead + (inner, cols), extreme)
+    got, want = matmul_mod(x, y, p), _ref_matmul(x, y, p)
+    assert got.shape == want.shape and got.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("inner", [8, 9])
@@ -349,6 +358,23 @@ LARGE_SPEC = {  # dim 13 over GF(33554393), with a two-term relation
                    {"coeff": 31088404, "path": ["a2", "a0"]}]],
     "truncation": 3,
 }
+
+
+def _tier_reports():
+    """run_corpus on algebras built afresh, so that no cache carries over."""
+    entries = [e for e in default_corpus(seed=2) if e[0].startswith("random-0")]
+    entries += [("nakayama-4-4", build_nakayama(4, 4)),
+                ("nakayama-3-3-large", build_nakayama(3, 3, 33554393))]
+    return [r.to_dict() for r in run_corpus(entries)]
+
+
+def test_the_float64_tier_changes_no_result(monkeypatch):
+    # Every product in float64 where it is exact, then every product in
+    # int64: the builds and all five checkers report the same.
+    monkeypatch.setattr(linalg, "_BLAS_MIN_WORK", 1)
+    on_float64 = _tier_reports()
+    monkeypatch.setattr(linalg, "_BLAS_MIN_WORK", 2**62)
+    assert _tier_reports() == on_float64
 
 
 def test_every_product_keeps_its_operands_in_range(monkeypatch, a3_rebased):

@@ -277,10 +277,12 @@ def test_large_prime_cli_output_is_pinned(tmp_path, capsys):
 def test_layer_counts_build_no_layer_module(tmp_path, monkeypatch, capsys):
     """layer_table, both layer checkers and show count multiplicities on the
     cached series: no hom_space and no subquotient call, apart from those
-    inside projective and a_dual, which build their modules that way."""
+    inside projective, injective and a_dual, which build their modules that
+    way."""
     import loewy.modules as modules
 
-    allowed = {modules.projective.__code__, modules.a_dual.__code__}
+    allowed = {modules.projective.__code__, modules.injective.__code__,
+               modules.a_dual.__code__}
     calls = []
 
     def counting(fn):
