@@ -279,6 +279,10 @@ class Algebra:
     which makes the paths of length <= 1 generate, and fails fast on a violation.
     """
 
+    # Set by the first is_symmetric, on an opposite too: an algebra never
+    # changes, so it is decided once.
+    _symmetry: "SymmetryResult | None" = None
+
     def __init__(
         self,
         field: PrimeField,
@@ -483,9 +487,10 @@ class Algebra:
         return f"Algebra(dim={self.dim}, vertices={self.num_vertices}, p={self.p})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SymmetryResult:
-    """Outcome of the symmetry decision: "yes" with a symmetrizing form, or "no"."""
+    """Outcome of the symmetry decision: "yes" with a read-only symmetrizing
+    form, or "no"."""
 
     status: str
     form: np.ndarray | None = None
@@ -505,8 +510,19 @@ def is_symmetric(a: Algebra, seed: int = 0) -> SymmetryResult:
     is "no" when some soc(A_A) e_j is not a line, or when no form vanishing
     on commutators is nonzero on every s_j.
 
+    Decided once per algebra, which never changes: the result is kept on a
+    and returned again, so its form is read-only.  A and A^op are decided
+    apart, each once, with the same status, as a form symmetrizing A also
+    symmetrizes A^op.
+
     seed is accepted for compatibility and has no effect.
     """
+    if a._symmetry is None:
+        a._symmetry = _decide_symmetry(a)
+    return a._symmetry
+
+
+def _decide_symmetry(a: Algebra) -> SymmetryResult:
     p, d, k, t = a.p, a.dim, a.num_vertices, a.table
     diffs = (t - t.transpose(1, 0, 2)).reshape(d * d, d) % p
     cand = kernel(diffs, p)  # forms vanishing on commutators, as rows
@@ -527,6 +543,7 @@ def is_symmetric(a: Algebra, seed: int = 0) -> SymmetryResult:
     gram = matmul_mod(t, lam, p)
     if rank(gram, p) != d:
         raise RuntimeError("the symmetrizing form found has a degenerate Gram matrix")
+    lam.flags.writeable = False
     return SymmetryResult("yes", lam)
 
 

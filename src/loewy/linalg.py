@@ -276,18 +276,24 @@ class Subspace:
 
 
 def complement_basis(top: Subspace, bot: Subspace) -> Subspace:
-    """A complement of bot inside top, with the reduced row-echelon basis and
-    the pivots of the elimination that found it.
+    """The complement of bot inside top that vanishes at bot's pivots, with
+    its reduced row-echelon basis and pivots.
 
     Requires bot <= top.  The rows, taken together with bot, span top; they
-    are canonical given the two subspaces.
+    are canonical given the two subspaces, and found without elimination.
+    The pivots of a subspace are the leading columns of its vectors, so
+    bot's pivots are among top's.  The rows of top's basis with the other
+    pivots are zero at every pivot of bot, so reducing them modulo bot
+    leaves them as they are; there are dim top - dim bot of them, and they
+    are already in reduced row-echelon form.  They are therefore the
+    reduced basis of top modulo bot that rref(bot.reduce(top.basis)) gives.
     """
     top._check_compatible(bot)
     if not top.contains(bot):
         raise ValueError("complement_basis requires bot <= top")
-    reduced = bot.reduce(top.basis)
-    r, pivots = rref(reduced, top.p)
-    return Subspace(r[: len(pivots)].copy(), top.ambient, top.p, pivots)
+    skip = set(bot.pivots)
+    keep = [r for r, c in enumerate(top.pivots) if c not in skip]
+    return Subspace(top.basis[keep], top.ambient, top.p, [top.pivots[r] for r in keep])
 
 
 def radical_chain(mats: np.ndarray, p: int) -> list[Subspace]:

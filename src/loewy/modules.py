@@ -17,18 +17,24 @@ modules of an algebra are kept on it weakly, so regular_module,
 projective, injective and simple return the same object for as long as
 some caller holds it.  What else is derived from a module is kept in two
 dicts under a key per entry: the plain data (vertex basis, series and
-their vertex dimensions) in Module._data, and the derived modules (duals
-and series quotients) in Module._cache.  A rewrapped series quotient
-adopts both dicts of its first build.
+their vertex dimensions, the action and _data of the A-dual) in
+Module._data, and the derived modules (duals and series quotients) in
+Module._cache.  A rewrapped series quotient adopts both dicts of its
+first build.
 
 The standard projectives P_i and injectives I_i are built once per
 algebra.  The algebra keeps a record of each, strongly: its read-only
 arrays and subspaces and its _data, never a module.  When the module
 itself has been freed, projective and injective wrap the record again,
-so nothing is reduced, checked or derived a second time; the derived
-modules of _cache are built again on request.  No cached value or
-record points back at a module's owner, so an algebra and every module
-built over it are freed by reference counting alone.
+so nothing is reduced, checked or derived a second time.  The A-dual is
+plain data in _data, so a rewrapped P_i wraps its A-dual again too, and
+nakayama(P_i) is one transposed copy of it.  The rest is built again on
+request: f_dual, as it is that one copy, which a record would hold for
+the algebra's lifetime to save no elimination; series quotients, which
+are wrapped around their parent; and A_A, whose d^3 action must not
+outlive its holders.  No cached value or record points back at a
+module's owner, so an algebra and every module built over it are freed
+by reference counting alone.
 
 Each module keeps one vertex basis (Module._vertex_basis), on which
 hom_space solves, layer_table counts and find_isomorphism reads tops.
@@ -85,9 +91,10 @@ class Module:
             raise ValueError(f"action tensor has shape {self.action.shape}")
         self.dim = self.action.shape[1]
         self.action.flags.writeable = False
-        # Plain data by key: "vertex"; from series, each series by kind and
-        # its terms' vertex dimensions by (kind, "dims").  A standard
-        # module's record holds this dict, so it holds no module.
+        # Plain data by key: "vertex"; "a_dual", the action and _data of the
+        # A-dual; from series, each series by kind and its terms' vertex
+        # dimensions by (kind, "dims").  A standard module's record holds
+        # this dict, so it holds no module.
         self._data: dict = {}
         # Derived modules by key: "f_dual", "a_dual"; from series, each pair
         # of terms by (top, bot) as (action, lift, proj, _data, _cache).
@@ -459,10 +466,20 @@ def a_dual(v: Module) -> ADualModule:
 
     The space is hom_space(v, regular), and the opposite action composes a
     map with left multiplication.  Checking it on the generators suffices,
-    as it is multiplicative.  Built once and cached on v, as f_dual is.
+    as it is multiplicative.  Built once per action: the dual is cached on
+    v, and its action and _data are kept as plain data in v._data["a_dual"].
+    A wrapper of v that finds them, such as a standard projective wrapped
+    again from its record, wraps them again without building A_A, solving
+    Hom(v, A) or checking anything.
     """
     if "a_dual" not in v._cache:
-        v._cache["a_dual"] = _build_a_dual(v)
+        record = v._data.get("a_dual")
+        if record is None:
+            dual = _build_a_dual(v)
+            v._data["a_dual"] = (dual.action, dual._data)
+        else:
+            dual = ADualModule._rewrap(v.algebra.opposite(), *record)
+        v._cache["a_dual"] = dual
     return v._cache["a_dual"]
 
 

@@ -1,10 +1,12 @@
 """Theorems that hold for every basic algebra, asserted over default_corpus(seed=0),
-and the checkers on a weakly symmetric algebra that is not symmetric."""
+the checkers on a weakly symmetric algebra that is not symmetric, and
+symmetry decided once per algebra, with A^op symmetric exactly when A is."""
 
 import numpy as np
 import pytest
 
 from loewy import (
+    build_nakayama,
     find_isomorphism,
     hom_space,
     injective,
@@ -16,7 +18,7 @@ from loewy import (
     run_corpus,
     spec_to_algebra,
 )
-from loewy.linalg import rank
+from loewy.linalg import matmul_mod, rank
 
 
 def test_nakayama_functor_sends_projectives_to_injectives(corpus0):
@@ -80,3 +82,31 @@ def test_quantum_exterior_plane_is_weakly_symmetric_and_symmetric_only_at_q_1(q)
     assert {c.name: c.status for c in report.checks} == {
         "main-theorem": "pass", "landrock": symmetric, "nakayama-id": symmetric,
         "adjunction": "pass", "duality": "pass"}
+
+
+def test_symmetry_is_decided_once_per_algebra_and_agrees_on_the_opposite(monkeypatch):
+    import loewy.algebra as algebra_module
+
+    entries = [(f"nakayama-k{k}-l{ell}", build_nakayama(k, ell), ell % k == 0)
+               for k in range(1, 5) for ell in range(1, 5)]
+    entries += [(f"quantum-exterior-plane-q{q}", _quantum_exterior_plane(q), q == 1)
+                for q in range(1, 5)]
+    decided = []
+    original = algebra_module._right_socle
+    monkeypatch.setattr(algebra_module, "_right_socle",
+                        lambda a: decided.append(a) or original(a))  # holding a keeps ids distinct
+    run_corpus([(name, a) for name, a, _ in entries])
+    results = [is_symmetric(a) for _, a, _ in entries]
+    assert sorted(map(id, decided)) == sorted(id(a) for _, a, _ in entries)
+    for (name, a, symmetric), res in zip(entries, results):
+        assert res.status == ("yes" if symmetric else "no"), name
+        assert is_symmetric(a) is res
+        opp = a.opposite()
+        res_opp = is_symmetric(opp)
+        assert res_opp.status == res.status and is_symmetric(opp) is res_opp, name
+        if symmetric:
+            # l(x y) = l(y x) is the same condition over A^op, with the
+            # transposed Gram matrix: the same form works for both.
+            assert not res.form.flags.writeable
+            assert rank(matmul_mod(opp.table, res.form, a.p), a.p) == a.dim
+    assert len(decided) == 2 * len(entries)

@@ -4,13 +4,15 @@ The standard modules are cached weakly on their algebra, a_dual and
 f_dual on their module, and the verified data of every layer, capital
 and socle submodule on its parent.  Each standard projective and
 injective also leaves a record on its algebra, from which it is wrapped
-again once freed.  These tests check that repeated requests return the
-shared result, that what is shared cannot be written, that run_corpus
-builds each subquotient and its vertex basis once, that a standard
-module wrapped again derives nothing again and that its record reaches
-no module, that layer_table eliminates the series of a module once, that
-subquotient still rejects what it must, and that an algebra and every
-module cached over it are freed by reference counting alone.  They also
+again once freed, and the action and data of a module's A-dual are kept
+with its plain data.  These tests check that repeated requests return
+the shared result, that what is shared cannot be written, that
+run_corpus builds each subquotient and its vertex basis once, that a
+standard module wrapped again derives nothing again, its A-dual
+included, and that its record reaches no module, that layer_table
+eliminates the series of a module once, that subquotient still rejects
+what it must, and that an algebra and every module cached over it are
+freed by reference counting alone.  They also
 check that what subquotient, hom_space and f_dual_map build unchecked
 passes the checks it skips, that the maps carrying the checkers' claims
 are still checked, that verify_adjunction solves each Hom pair once and
@@ -277,6 +279,43 @@ def test_layer_table_on_a_family_wrapped_again_eliminates_nothing(monkeypatch):
     for kind in ("radical", "socle"):
         assert layer_table(_standard_family(a), kind) == first[kind]
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["relations", "nakayama-k3-l2"])
+def test_a_freed_projective_wraps_its_a_dual_again_from_its_record(monkeypatch, name):
+    import loewy.modules as modules
+
+    def build():
+        return spec_to_algebra(RELATIONS_SPEC) if name == "relations" else build_nakayama(3, 2)
+
+    a = build()
+    original, first, regular = modules._build_a_dual, {}, []
+
+    def building(v):
+        dual = original(v)
+        if v._projective_at is not None and v.algebra is a:
+            first.setdefault(v._projective_at[0], dual.action)
+            regular.append(weakref.ref(regular_module(a)))
+        return dual
+
+    monkeypatch.setattr(modules, "_build_a_dual", building)
+    run_corpus([(name, a)])  # builds and releases the family
+    k = a.num_vertices
+    assert sorted(first) == list(range(k)) and regular
+    # The records keep no module, so A_A, with its d^3 action, is freed.
+    assert [r() for r in regular] == [None] * len(regular)
+    fresh = build()
+    want = [nakayama(projective(fresh, i)).action for i in range(k)]
+    solved = []
+    _rebind(monkeypatch, hom_space, lambda u, v: solved.append(1) or hom_space(u, v))
+    for i in range(k):
+        v = projective(a, i)
+        assert a_dual(v).action is first[i] and a_dual(v) is a_dual(v)
+        assert a_dual(v).algebra is a.opposite()
+        assert np.array_equal(nakayama(v).action, want[i])
+    assert solved == []
+    del v
+    assert a._standard_modules.get(("A", 0)) is None
 
 
 def _reachable(root):
