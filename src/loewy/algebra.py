@@ -436,6 +436,24 @@ class Algebra:
         nonzero = sandwiched.reshape(len(arrows), k, k, d).any(axis=3)
         return [(int(arrows[i]), int(s), int(e)) for i, s, e in np.argwhere(nonzero)]
 
+    @cached_property
+    def _peirce(self) -> tuple[list[list[int]], list[list[int]]] | None:
+        """(L, R) when every e_i acts on both sides of the basis as a 0/1
+        diagonal, as on a path basis, else None: L[i] lists the basis
+        elements b with e_i * b = b and R[i] those with b * e_i = b, in
+        increasing order.  Then e_i A is spanned by the b in L[i] and A e_i
+        by those in R[i] (Assem, Simson and Skowronski, Elements of the
+        Representation Theory of Associative Algebras 1, I.4), so the
+        standard modules are slices of the table (loewy.modules)."""
+        k, d, t = self.num_vertices, self.dim, self.table
+        sides = []
+        for side in (t[:k], t[:, :k].transpose(1, 0, 2)):  # [i, b] = e_i * b, b * e_i
+            diag = side[:, np.arange(d), np.arange(d)]
+            if (diag > 1).any() or np.count_nonzero(side) != np.count_nonzero(diag):
+                return None
+            sides.append([np.flatnonzero(row).tolist() for row in diag])
+        return sides[0], sides[1]
+
     def _block_actions(self, action: np.ndarray) -> np.ndarray:
         """The matrices of the blocks e_s * g * e_t of arrow_ends on a module with
         this action tensor.  Products of consecutive blocks span rad A, so the

@@ -22,26 +22,33 @@ Module._data, and the derived modules (duals and series quotients) in
 Module._cache.  A rewrapped series quotient adopts both dicts of its
 first build.
 
-The standard projectives P_i and injectives I_i are built once per
-algebra.  The algebra keeps a record of each, strongly: its read-only
-arrays and subspaces and its _data, never a module.  When the module
-itself has been freed, projective and injective wrap the record again,
-so nothing is reduced, checked or derived a second time.  The A-dual is
-plain data in _data, so a rewrapped P_i wraps its A-dual again too, and
-nakayama(P_i) is one transposed copy of it.  The rest is built again on
-request: f_dual, as it is that one copy, which a record would hold for
-the algebra's lifetime to save no elimination; series quotients, which
-are wrapped around their parent; and A_A, whose d^3 action must not
-outlive its holders.  No cached value or record points back at a
-module's owner, so an algebra and every module built over it are freed
-by reference counting alone.
+On a Peirce basis (Algebra._peirce), such as a path basis, the standard
+projectives P_i = e_i A and injectives I_i = D(A e_i) and the A-duals
+Hom(P_i, A) = A e_i are gathers of the structure table, with no A_A, Hom
+solve or subquotient.  On any other basis they are built the general way.
+
+P_i and I_i are built once per algebra.  The algebra keeps a record of
+each, strongly: its read-only arrays and subspaces and its _data, never
+a module.  When the module itself has been freed, projective and
+injective wrap the record again, so nothing is reduced, checked or
+derived a second time.  The A-dual is plain data in _data, so a
+rewrapped P_i wraps its A-dual again too, and nakayama(P_i) is one
+transposed copy of it.  f_dual keeps the module it dualizes as plain
+data too, so the dual of a dual wraps the original again.  The rest is
+built again on request: series quotients, which are wrapped around their
+parent, and A_A, whose d^3 action must not outlive its holders; P_i's
+parent is A_A, built only when asked for.  No cached value or record
+points back at a module's owner, so an algebra and every module built
+over it are freed by reference counting alone.
 
 Each module keeps one vertex basis (Module._vertex_basis), on which
-hom_space solves, layer_table counts and find_isomorphism reads tops.
-Out of a standard projective P_i and into a standard injective I_i,
-hom_space reads the basis off V e_i in closed form instead of solving:
-projective and injective tag the modules they build with their vertex
-and the lift of e_i A, never with another module.
+hom_space solves, layer_table counts and find_isomorphism reads tops.  On
+a vertex-adapted module, such as the standard modules of a Peirce basis,
+it is read off the coordinates without elimination.  Out of a standard
+projective P_i and into a standard injective I_i, hom_space reads the
+basis off V e_i in closed form instead of solving: projective and
+injective tag the modules they build with their vertex and the lift of
+e_i A, never with another module.
 """
 
 from __future__ import annotations
@@ -133,19 +140,35 @@ class Module:
                 f"action is not multiplicative against basis element {a.labels[g]!r}"
             )
 
-    def _vertex_basis(self) -> tuple[list[Subspace], list[np.ndarray]]:
-        """(R, C): R[i] = V e_i and C[i] = action[i][:, R[i].pivots] for each
-        vertex i, so action[i] = C[i]·R[i].basis and R[j].basis·C[i] is 1 if
-        j == i, else 0.  Computed once per action, which nothing reassigns,
-        and kept in _data, which every wrapper of the action shares."""
+    def _vertex_basis(self) -> tuple[list[Subspace], list[np.ndarray], np.ndarray | None]:
+        """(R, C, block): R[i] = V e_i and C[i] = action[i][:, R[i].pivots]
+        for each vertex i, so action[i] = C[i]·R[i].basis and R[j].basis·C[i]
+        is 1 if j == i, else 0.  Computed once per action, which nothing
+        reassigns, and kept in _data, which every wrapper of the action shares.
+
+        On a vertex-adapted module, whose idempotents act on its coordinates
+        as 0/1 diagonals (every standard module of a Peirce basis), R[i] is
+        the identity's rows where e_i is 1, read with no elimination, and
+        block[x] is the vertex of coordinate x.  Otherwise each R[i] is
+        eliminated and block is None.
+        """
         if "vertex" not in self._data:
-            p = self.algebra.p
-            rows = [Subspace.from_rows(e, self.dim, p)
-                    for e in self.action[: self.algebra.num_vertices]]
+            a, d = self.algebra, self.dim
+            idem = self.action[: a.num_vertices]
+            diag = idem[:, np.arange(d), np.arange(d)]
+            # Each coordinate has one 1 on the diagonals, and nothing lies off them.
+            if (diag.sum(axis=0) == 1).all() and np.count_nonzero(idem) == d:
+                block = diag.argmax(axis=0)
+                eye = np.eye(d, dtype=np.int64)
+                rows = [Subspace(eye[on], d, a.p, np.flatnonzero(on).tolist()) for on in diag == 1]
+                block.flags.writeable = False
+            else:
+                block = None
+                rows = [Subspace.from_rows(e, d, a.p) for e in idem]
             cols = [e[:, r.pivots] for e, r in zip(self.action, rows)]
             for c in cols:
                 c.flags.writeable = False
-            self._data["vertex"] = (rows, cols)
+            self._data["vertex"] = (rows, cols, block)
         return self._data["vertex"]
 
     def act(self, x: np.ndarray) -> np.ndarray:
@@ -290,59 +313,131 @@ def quotient_module(v: Module, w: Subspace) -> SubquotientModule:
     return subquotient(v, Subspace.full(v.dim, v.algebra.p), w)
 
 
+class _ProjectiveModule(SubquotientModule):
+    """The standard projective P_i = e_i A, a submodule of A_A whose lift
+    and proj are in the algebra's coordinates.  Its parent, A_A, is built
+    only when asked for."""
+
+    @property
+    def parent(self) -> Module:
+        return regular_module(self.algebra)
+
+
 def projective(a: Algebra, i: int) -> SubquotientModule:
     """The projective P_i = e_i A as a submodule of the regular module,
     shared while held.  Built once per algebra: when it has been freed,
-    its record is wrapped again."""
+    its record is wrapped again.
+
+    On a Peirce basis (Algebra._peirce) e_i A is spanned by the basis
+    elements in L = L[i], so its reduced basis, the lift, is the rows of
+    the identity at L, and proj is its columns there.  subquotient's
+    lift·(right multiplication by c)·proj is then the gather
+    action[c][x, y] = table[L[x], c, L[y]], taken with no A_A or
+    elimination; invariance is tested on the table slice.  Otherwise P_i
+    is a subquotient of regular_module(a)."""
     if not (0 <= i < a.num_vertices):
         raise ValueError(f"vertex index {i} out of range")
     v = a._standard_modules.get(("P", i))
     if v is None:
         record = a._standard_records.get(("P", i))
         if record is None:
-            span = Subspace.from_rows(a.table[i] % a.p, a.dim, a.p)
-            v = submodule(regular_module(a), span)
-            a._standard_records["P", i] = (v.top, v.bot, v.action, v.lift, v.proj, v._data)
-        else:
-            v = SubquotientModule._rewrap_of(regular_module(a), *record)
-        v._projective_at = (i, v.lift)
+            record = a._standard_records["P", i] = _projective_record(a, i)
+        top, bot, action, lift, proj, data = record
+        v = _ProjectiveModule._rewrap(a, action, data)
+        v.top, v.bot, v.lift, v.proj = top, bot, lift, proj
+        v._projective_at = (i, lift)
         a._standard_modules[("P", i)] = v
     return v
 
 
+def _projective_record(a: Algebra, i: int) -> tuple:
+    """(top, bot, action, lift, proj, _data) of a new build of P_i."""
+    if a._peirce is None:
+        sub = submodule(regular_module(a), Subspace.from_rows(a.table[i], a.dim, a.p))
+        return sub.top, sub.bot, sub.action, sub.lift, sub.proj, sub._data
+    span = a._peirce[0][i]
+    lift = np.eye(a.dim, dtype=np.int64)[span]
+    proj = lift.T.copy()
+    proj.flags.writeable = False
+    return (Subspace(lift, a.dim, a.p, span), Subspace.zero(a.dim, a.p),
+            _peirce_slice(a, span, "right", "subspace is not invariant under the algebra action"),
+            lift, proj, {})
+
+
 def injective(a: Algebra, i: int) -> Module:
     """The injective I_i, the linear dual of e_i A^op, shared while held and
-    built once per algebra, as projective is.  e_i A^op is built as a
-    submodule of the opposite's regular module that nothing records or
-    keeps: I_i keeps only its lift."""
+    built once per algebra, as projective is.  I_i keeps only the lift of
+    e_i A^op, for hom_space, and no module over the opposite.
+
+    On a Peirce basis e_i A^op is A e_i, spanned by the basis elements in
+    R = R[i], and I_i's action is the transpose of its gather,
+    action[c][x, y] = table[c, R[y], R[x]]; invariance, that A e_i is a
+    left ideal, is tested on the table slice.  Otherwise e_i A^op is a
+    subquotient of the opposite's regular module, which nothing keeps."""
     if not (0 <= i < a.num_vertices):
         raise ValueError(f"vertex index {i} out of range")
     v = a._standard_modules.get(("I", i))
     if v is None:
         record = a._standard_records.get(("I", i))
         if record is None:
-            opp = a.opposite()
-            q = submodule(regular_module(opp), Subspace.from_rows(opp.table[i], a.dim, a.p))
-            v = f_dual(q)
-            record = a._standard_records["I", i] = (v.action, q.lift, v._data)
-        else:
-            v = Module._rewrap(a, record[0], record[2])
+            record = a._standard_records["I", i] = _injective_record(a, i)
+        v = Module._rewrap(a, record[0], record[2])
         v._injective_at = (i, record[1])
         a._standard_modules[("I", i)] = v
     return v
 
 
+def _injective_record(a: Algebra, i: int) -> tuple:
+    """(action, lift of e_i A^op, _data) of a new build of I_i."""
+    if a._peirce is None:
+        opp = a.opposite()
+        q = submodule(regular_module(opp), Subspace.from_rows(opp.table[i], a.dim, a.p))
+        action, lift = q.action.transpose(0, 2, 1).copy(), q.lift
+    else:
+        span = a._peirce[1][i]
+        action = _peirce_slice(a, span, "left", "subspace is not invariant under the algebra action")
+        action = action.transpose(0, 2, 1).copy()
+        lift = np.eye(a.dim, dtype=np.int64)[span]
+        lift.flags.writeable = False
+    action.flags.writeable = False
+    return action, lift, {}
+
+
+def _peirce_slice(a: Algebra, span: list[int], side: str, message: str) -> np.ndarray:
+    """The action of A on the span of the basis elements in span by
+    multiplication on the given side, as a slice of the table:
+    [c, x, y] = coefficient of b_span[y] in c * b_span[x] ("left") or in
+    b_span[x] * c ("right").  Raises ValueError(message) unless every
+    generator keeps the span, which makes it a left or a right ideal."""
+    t, gens = a.table, a.generator_indices()
+    outside = np.ones(a.dim, dtype=bool)
+    outside[span] = False
+    rows = t[:, span] if side == "left" else t[span].transpose(1, 0, 2)  # [c, x, :]
+    if rows[gens][:, :, outside].any():
+        raise ValueError(message)
+    action = np.ascontiguousarray(rows[:, :, span])
+    action.flags.writeable = False
+    return action
+
+
 def f_dual(v: Module) -> Module:
     """Linear dual of v as a module over the opposite algebra.
 
-    Actions are transposed; applying f_dual twice returns the original
-    action tensor on the nose.  The dual is built once per module and
-    cached on it, so its own filtrations are computed once too.
+    Actions are transposed, and D D V = V on the nose: the dual keeps v's
+    action and _data as plain data in its own _data, and f_dual of the
+    dual wraps them again, so it shares v's vertex basis, series and
+    A-dual.  The dual is built once per module and cached on it, so its
+    own filtrations are computed once too.
     """
     if "f_dual" not in v._cache:
-        # % p keeps its operand's strides: without the copy the action is not C-contiguous.
-        v._cache["f_dual"] = Module(v.algebra.opposite(), v.action.transpose(0, 2, 1).copy(),
-                                    check=False)
+        record = v._data.get("f_dual")
+        if record is None:
+            # % p keeps its operand's strides: without the copy the action is not C-contiguous.
+            dual = Module(v.algebra.opposite(), v.action.transpose(0, 2, 1).copy(), check=False)
+            dual._data["f_dual"] = (v.action, v._data)
+        else:
+            dual = Module._rewrap(v.algebra.opposite(), *record)
+        v._cache["f_dual"] = dual
     return v._cache["f_dual"]
 
 
@@ -422,7 +517,7 @@ def _solve_hom(u: Module, v: Module) -> np.ndarray:
     a = u.algebra
     p = a.p
     du, dv = u.dim, v.dim
-    (ru, cu), (rv, cv) = u._vertex_basis(), v._vertex_basis()
+    (ru, cu, _), (rv, cv, _) = u._vertex_basis(), v._vertex_basis()
     offsets = np.cumsum([0] + [eu.dim * ev.dim for eu, ev in zip(ru, rv)])
     m = int(offsets[-1])
     if m == 0:
@@ -471,11 +566,27 @@ def a_dual(v: Module) -> ADualModule:
     A wrapper of v that finds them, such as a standard projective wrapped
     again from its record, wraps them again without building A_A, solving
     Hom(v, A) or checking anything.
+
+    On a Peirce basis (Algebra._peirce) the A-dual of a standard P_i is
+    the gather action[c][x, y] = table[c, R[x], R[y]] over the basis
+    elements R = R[i] of A e_i, with no A_A or Hom solve.  The reduced
+    basis of Hom(P_i, A) is the maps F_x: y -> b_R[x] y: F_x sends e_i,
+    P_i's first basis element, to b_R[x], so its first nonzero is a 1 at
+    (0, R[x]), where every other F_y is 0.  _build_a_dual reads these
+    pivots, and c * b_R[x] gives the same action.  The closure test, that
+    A e_i is a left ideal, runs on the table slice; ADualModule checks the
+    module.
     """
     if "a_dual" not in v._cache:
         record = v._data.get("a_dual")
         if record is None:
-            dual = _build_a_dual(v)
+            a = v.algebra
+            if v._projective_at is None or a._peirce is None:
+                dual = _build_a_dual(v)
+            else:
+                span = a._peirce[1][v._projective_at[0]]
+                dual = ADualModule(a.opposite(), _peirce_slice(
+                    a, span, "left", "left multiplication does not preserve the hom space"))
             v._data["a_dual"] = (dual.action, dual._data)
         else:
             dual = ADualModule._rewrap(v.algebra.opposite(), *record)

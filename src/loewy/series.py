@@ -8,10 +8,14 @@ linalg.socle_chain and kept in its plain data as a list, indexed clipped
 to its end.  Modules and their subspaces never change after construction,
 so layers, capitals, socle submodules, the adjunction and the duality
 maps all read the same terms.  layer_table counts the simples in each
-layer as dim(W e_j) - dim(W' e_j) without building the layer: in graded
-coordinates, read off the module's vertex basis, which put each V e_j on
-its own block of columns, one elimination of a term W counts every
-dim(W e_j), and the counts are kept with the series.  A standard
+layer as dim(W e_j) - dim(W' e_j) without building the layer: W is the
+direct sum of the W e_j, so once each V e_j lies on its own block of
+coordinates, the pivots of W in block j number dim(W e_j).  On a
+vertex-adapted module, such as a standard module of a path basis, its
+own coordinates are blocked so and the pivots are read with no
+elimination.  Otherwise graded coordinates, read off the module's vertex
+basis, block them, and one elimination of a term W counts every
+dim(W e_j).  The counts are kept with the series.  A standard
 projective or injective wrapped again from its algebra's record shares
 that plain data, so its series and counts are not derived again.
 Layers are explicit subquotient modules that remember projection/section
@@ -284,22 +288,29 @@ def layer_table(family: list[Module], kind: str) -> LayerTable:
 
 def _vertex_dims(v: Module, kind: str, levels: int) -> np.ndarray:
     """dims[j][n] = dim(W_n e_j) for the terms W_n, n = 0 .. levels, of v's
-    series of this kind, eliminating each distinct term once per module.
+    series of this kind, kept with the series.
 
-    The graded coordinates x·graded = (x·C_j)_j, for the vertex basis
-    (R_j, C_j) of Module._vertex_basis, are the coordinates of each x e_j
+    A term W is a submodule, so W is the direct sum of the W e_j.  When
+    these lie on disjoint blocks of coordinates, the reduced echelon form
+    of W is the union of the blocks' forms, so its pivots in block j
+    number dim(W e_j).  On a vertex-adapted module (Module._vertex_basis)
+    the blocks are those of its own coordinates, so the counts are read
+    off each term's pivots with no elimination.  Otherwise each distinct
+    term is eliminated once in the graded coordinates x·graded = (x·C_j)_j,
+    for the vertex basis (R_j, C_j): they are the coordinates of each x e_j
     in the basis R_j of V e_j, so each V e_j lands injectively on its own
-    block of columns.  A term W is a submodule, so W is the direct sum of
-    the W e_j, and the reduced echelon form of W·graded is the union of
-    the blocks' forms: its pivots in block j number dim(W e_j).
+    block of columns.
     """
     counts = v._data.get((kind, "dims"))
     if counts is None:
         p = v.algebra.p
-        rows, cols = v._vertex_basis()
-        graded = np.hstack(cols)  # d x d
-        block = np.repeat(np.arange(len(rows)), [r.dim for r in rows])  # block of each column
+        rows, cols, block = v._vertex_basis()
+        if block is None:
+            graded = np.hstack(cols)  # d x d
+            block = np.repeat(np.arange(len(rows)), [r.dim for r in rows])  # block of each column
+            pivots = [rref(matmul_mod(w.basis, graded, p), p)[1] for w in _series(v, kind)]
+        else:
+            pivots = [w.pivots for w in _series(v, kind)]
         counts = v._data[kind, "dims"] = np.array(
-            [np.bincount(block[rref(matmul_mod(w.basis, graded, p), p)[1]], minlength=len(rows))
-             for w in _series(v, kind)])
+            [np.bincount(block[piv], minlength=len(rows)) for piv in pivots])
     return counts[np.minimum(np.arange(levels + 1), len(counts) - 1)].T

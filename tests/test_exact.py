@@ -327,6 +327,17 @@ def _rebased(v, rng):
     return Module(v.algebra, [_ref_matmul(_ref_matmul(q_inv, g, p), q, p) for g in v.action])
 
 
+def test_a_module_in_a_random_basis_takes_the_elimination_route():
+    a = build_nakayama(3, 3)
+    rng = np.random.default_rng(11)
+    for v in (projective(a, 1), f_dual(projective(a, 2)), a_dual(projective(a, 0)),
+              regular_module(a)):
+        w = _rebased(v, rng)
+        assert v._vertex_basis()[2] is not None and w._vertex_basis()[2] is None
+        for kind in ("radical", "socle"):
+            assert layer_table([w], kind) == layer_table([v], kind)
+
+
 @pytest.mark.parametrize("p", [2, 5, P_MAX])
 def test_layer_table_matches_python_ranks_in_bases_not_adapted_to_the_vertices(p):
     # Two vertices, a double arrow, a loop and a two-term relation: dim 13.

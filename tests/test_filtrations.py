@@ -8,6 +8,8 @@ cached terms subspace for subspace, over every module a checker builds,
 also on a basis that is not of paths, where an arrow has two blocks.
 layer_table reads its multiplicities off those terms as dim(W e_j); the
 reference for it counts Hom between each layer module and the simples.
+The vertex bases and counts read off vertex-adapted coordinates are
+compared with one elimination per vertex and one rank per term.
 The same file pins the corpus reports and the large-prime CLI output, so
 neither can change a single evidence row or byte of stdout, checks that
 counting layers builds no layer module, and checks the batched Module
@@ -47,7 +49,8 @@ from loewy import (
     verify_main_theorem,
 )
 from loewy.cli import main
-from loewy.linalg import Subspace, kernel
+from loewy.linalg import Subspace, kernel, rank
+from loewy.series import _vertex_dims
 
 
 def reference_socle_n(v, n):
@@ -123,6 +126,44 @@ def _assert_series_match_reference(a):
                 assert np.array_equal(table.table[0], reference_layer_table(m, kind))
         assert f_dual(v) is f_dual(v)
         assert np.array_equal(f_dual(f_dual(v)).action, v.action)
+
+
+def test_vertex_data_read_off_adapted_coordinates_equal_the_eliminated(
+        monkeypatch, a3_rebased, corpus0):
+    # Every module run_corpus reads the vertex data of: its vertex basis
+    # against one elimination per vertex, and its counts dim(W e_j) against
+    # one rank per term and vertex.
+    seen = []
+    original = Module._vertex_basis
+
+    def recording(v):
+        if "vertex" not in v._data:
+            seen.append(v)
+        return original(v)
+
+    monkeypatch.setattr(Module, "_vertex_basis", recording)
+    random = next(a for name, a in corpus0 if name.startswith("random-"))
+    run_corpus([("nakayama-k3-l3", build_nakayama(3, 3)), ("a3-rebased", a3_rebased[0]),
+                ("linear-A3-N3", linear_quiver_algebra(3, 3)), ("random", random)])
+    monkeypatch.undo()
+    adapted = 0
+    for v in seen:
+        a, d = v.algebra, v.dim
+        rows, cols, block = v._vertex_basis()
+        idem = v.action[: a.num_vertices]
+        assert rows == [Subspace.from_rows(e, d, a.p) for e in idem]
+        assert [r.pivots for r in rows] == [Subspace.from_rows(e, d, a.p).pivots for e in idem]
+        assert all(np.array_equal(c, e[:, r.pivots]) for c, e, r in zip(cols, idem, rows))
+        if block is not None:
+            adapted += 1
+            assert all(np.array_equal(e, np.diag(block == j)) for j, e in enumerate(idem))
+        for kind, term in (("radical", radical_n), ("socle", socle_n)):
+            want = [[rank(term(v, n).basis @ e % a.p, a.p) for n in range(a.loewy_length + 1)]
+                    for e in idem]
+            assert np.array_equal(_vertex_dims(v, kind, a.loewy_length), want)
+    # Both routes ran: the standard modules of a path basis are adapted, the
+    # modules of a3-rebased and most series quotients are not.
+    assert 0 < adapted < len(seen)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from loewy import (
+    Algebra,
     Arrow,
     Module,
     ModuleMap,
@@ -12,6 +13,7 @@ from loewy import (
     build_nakayama,
     build_path_algebra,
     capital_n,
+    default_corpus,
     f_dual,
     f_dual_map,
     find_isomorphism,
@@ -405,3 +407,118 @@ def test_find_isomorphism_over_the_kronecker_quiver():
             assert reference_isomorphism(u, v) == "no"
         else:
             assert r.note == "the top and the socle both repeat a simple"
+
+
+# -- the standard family read off the table --------------------------------------
+
+
+def _family_arrays(a):
+    """For each vertex i: P_i's action, lift, proj, top and bot, I_i's action
+    and lift of e_i A^op, and the action of a_dual(P_i)."""
+    out = []
+    for i in range(a.num_vertices):
+        v, w = projective(a, i), injective(a, i)
+        out.append((v.action, v.lift, v.proj, v.top.basis, v.bot.basis,
+                    w.action, w._injective_at[1], a_dual(v).action))
+    return out
+
+
+def _route_algebras(group):
+    if group == "nakayama":
+        return [build_nakayama(k, ell) for k in range(1, 7) for ell in range(1, 7)]
+    return [a for _, a in default_corpus(seed=int(group[-1]))]
+
+
+@pytest.mark.parametrize("group", ["corpus-0", "corpus-1", "corpus-2", "nakayama"])
+def test_the_family_read_off_the_table_equals_the_general_route(monkeypatch, group):
+    algebras = _route_algebras(group)
+    gathered = []
+    for a in algebras:
+        assert a._peirce is not None  # every path basis is a Peirce basis
+        gathered.append(_family_arrays(a))
+    monkeypatch.setattr(Algebra, "_peirce", property(lambda a: None))
+    for a, want in zip(algebras, gathered):
+        b = Algebra(a.field, a.table, a.labels, a.path_lengths, a.num_vertices)
+        got = _family_arrays(b)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert all(map(np.array_equal, x, y))
+        # The general route's I_i keeps no array of the e_i A^op it is built from.
+        assert all("f_dual" not in b._standard_records["I", i][2] for i in range(b.num_vertices))
+
+
+def _rebased_algebra(a, rng):
+    """a on the basis b_c + (random multiples of the longer basis elements):
+    the same algebra, not on a path basis once the sums cross vertices."""
+    p, d, lengths = a.p, a.dim, a.path_lengths
+    q = np.eye(d, dtype=np.int64)
+    longer = (lengths[:, None] >= 1) & (lengths[None, :] > lengths[:, None])
+    q[longer] = rng.integers(0, p, size=int(longer.sum()))
+    q_inv = rref(np.hstack([q, np.eye(d, dtype=np.int64)]), p)[0][:, d:]
+    table = np.einsum("ia,abc->ibc", q, a.table) % p
+    table = np.einsum("jb,ibc->ijc", q, table) % p
+    return Algebra(a.field, table @ q_inv % p, a.labels, lengths, a.num_vertices)
+
+
+def test_a_basis_that_is_not_of_paths_takes_the_general_route(monkeypatch, a3, a3_rebased):
+    import loewy.modules as modules
+
+    rng = np.random.default_rng(4)
+    b = a3_rebased[0]  # a new copy: the fixture's records may be built already
+    pairs = [(a3, Algebra(b.field, b.table, b.labels, b.path_lengths, b.num_vertices))]
+    pairs += [(a, _rebased_algebra(a, rng))
+              for a in (build_nakayama(3, 2), build_nakayama(2, 3), build_path_algebra(
+                  Quiver(2, [Arrow("a", 0, 1), Arrow("b", 0, 1), Arrow("c", 1, 0)]), [], 3, P))]
+    built = []
+    original = modules.regular_module
+    monkeypatch.setattr(modules, "regular_module", lambda a: built.append(a) or original(a))
+    for a, b in pairs:
+        assert a._peirce is not None and b._peirce is None
+        k = a.num_vertices
+        for algebra in (a, b):
+            projective(algebra, 0), injective(algebra, 0), a_dual(projective(algebra, 0))
+        assert a not in built and b in built and b.opposite() in built
+        for kind in ("radical", "socle"):
+            families = [[projective(x, i) for i in range(k)] + [injective(x, i) for i in range(k)]
+                        + [a_dual(projective(x, i)) for i in range(k)] for x in (a, b)]
+            tables = [layer_table(f[: 2 * k], kind) for f in families]
+            assert tables[0] == tables[1]
+            duals = [layer_table(f[2 * k:], kind) for f in families]
+            assert duals[0] == duals[1]
+
+
+def test_the_family_of_a_peirce_algebra_builds_no_regular_module(monkeypatch):
+    import loewy.modules as modules
+
+    built = []
+    original = modules.regular_module
+    monkeypatch.setattr(modules, "regular_module", lambda a: built.append(a) or original(a))
+    for a in (build_nakayama(3, 2), build_nakayama(1, 3), default_corpus(seed=1)[-1][1]):
+        for i in range(a.num_vertices):
+            v = projective(a, i)
+            injective(a, i)
+            nakayama(v)
+            assert v._vertex_basis()[2] is not None  # vertex-adapted coordinates
+    assert built == []
+
+
+@pytest.mark.parametrize("build", ["projective", "injective", "a_dual"])
+def test_a_corrupted_entry_of_a_gathered_slice_is_rejected(build):
+    a = build_nakayama(3, 3)
+    left, right = a._peirce  # decided on the true table
+    i, g = 1, int(a.generator_indices()[a.num_vertices])  # an arrow
+    held = projective(a, i) if build == "a_dual" else None  # built on the true table
+    table = a.table.copy()
+    if build == "projective":
+        # b * g for b in e_i A gains a term outside e_i A.
+        outside = next(y for y in range(a.dim) if y not in left[i])
+        table[left[i][-1], g, outside] = 1
+    else:
+        # g * b for b in A e_i gains a term outside A e_i.
+        outside = next(y for y in range(a.dim) if y not in right[i])
+        table[g, right[i][-1], outside] = 1
+    a.table = table
+    message = "does not preserve the hom space" if build == "a_dual" else "not invariant"
+    with pytest.raises(ValueError, match=message):
+        a_dual(held) if build == "a_dual" else {"projective": projective,
+                                               "injective": injective}[build](a, i)

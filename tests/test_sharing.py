@@ -5,7 +5,8 @@ f_dual on their module, and the verified data of every layer, capital
 and socle submodule on its parent.  Each standard projective and
 injective also leaves a record on its algebra, from which it is wrapped
 again once freed, and the action and data of a module's A-dual are kept
-with its plain data.  These tests check that repeated requests return
+with its plain data, as a linear dual keeps those of the module it
+dualizes.  These tests check that repeated requests return
 the shared result, that what is shared cannot be written, that
 run_corpus builds each subquotient and its vertex basis once, that a
 standard module wrapped again derives nothing again, its A-dual
@@ -89,6 +90,20 @@ def test_standard_modules_and_duals_are_shared_while_held():
     dropped = weakref.ref(projective(a, 1))
     assert dropped() is None
     assert np.array_equal(projective(a, 1).action, projective(build_nakayama(3, 2), 1).action)
+
+
+def test_f_dual_of_an_f_dual_wraps_the_original():
+    a = build_nakayama(3, 2)
+    p0 = projective(a, 0)
+    for v in (p0, injective(a, 1), simple(a, 2), radical_layer(p0, 2), a_dual(p0)):
+        twice = f_dual(f_dual(v))
+        # D D V = V: the same action array and plain data, so its vertex
+        # basis and series are not derived again.
+        assert twice.action is v.action and twice._data is v._data
+        assert twice.algebra is v.algebra and f_dual(f_dual(v)) is twice
+    # Hom into I_i reads f_dual of nu(P_i), which is the A-dual of P_i again.
+    assert f_dual(nakayama(p0)).action is a_dual(p0).action
+    assert f_dual(nakayama(p0))._data is a_dual(p0)._data
 
 
 def test_injective_does_not_keep_the_opposite_projective_alive():
@@ -255,8 +270,12 @@ def test_a_freed_standard_module_is_wrapped_again_from_its_record():
         assert all(map(np.array_equal, got, _record_arrays(w)))
         assert type(v) is type(w) and v.algebra is a
     for i, v in enumerate(again[: a.num_vertices]):
-        assert v.parent is regular_module(a) and v._projective_at[0] == i
+        assert v._projective_at[0] == i and v._projective_at[1] is v.lift
         assert (v.top, v.bot) == (fresh[i].top, fresh[i].bot)
+    # Read off the table: no A_A was built for the family, and P_i's parent
+    # is built only when asked for.
+    assert a._standard_modules.get(("A", 0)) is None
+    assert again[0].parent is regular_module(a)
     # Shared while held, and the maps read off the records agree.
     assert all(x is y for x, y in zip(again, _standard_family(a)))
     k = a.num_vertices
@@ -289,21 +308,19 @@ def test_a_freed_projective_wraps_its_a_dual_again_from_its_record(monkeypatch, 
         return spec_to_algebra(RELATIONS_SPEC) if name == "relations" else build_nakayama(3, 2)
 
     a = build()
-    original, first, regular = modules._build_a_dual, {}, []
-
-    def building(v):
-        dual = original(v)
-        if v._projective_at is not None and v.algebra is a:
-            first.setdefault(v._projective_at[0], dual.action)
-            regular.append(weakref.ref(regular_module(a)))
-        return dual
-
-    monkeypatch.setattr(modules, "_build_a_dual", building)
+    gathered, solved_duals, regular = [], [], []
+    original = modules._peirce_slice
+    monkeypatch.setattr(modules, "_peirce_slice",
+                        lambda *args: gathered.append(args[3]) or original(*args))
+    monkeypatch.setattr(modules, "_build_a_dual", lambda v: solved_duals.append(v))
+    _rebind(monkeypatch, regular_module, lambda b: regular.append(b) or regular_module(b))
     run_corpus([(name, a)])  # builds and releases the family
     k = a.num_vertices
-    assert sorted(first) == list(range(k)) and regular
-    # The records keep no module, so A_A, with its d^3 action, is freed.
-    assert [r() for r in regular] == [None] * len(regular)
+    # Each A-dual is gathered from the table: no Hom(P_i, A) is solved and
+    # no A_A is built.
+    assert gathered.count("left multiplication does not preserve the hom space") == k
+    assert solved_duals == [] and regular == []
+    first = [a._standard_records["P", i][5]["a_dual"][0] for i in range(k)]
     fresh = build()
     want = [nakayama(projective(fresh, i)).action for i in range(k)]
     solved = []
@@ -313,9 +330,7 @@ def test_a_freed_projective_wraps_its_a_dual_again_from_its_record(monkeypatch, 
         assert a_dual(v).action is first[i] and a_dual(v) is a_dual(v)
         assert a_dual(v).algebra is a.opposite()
         assert np.array_equal(nakayama(v).action, want[i])
-    assert solved == []
-    del v
-    assert a._standard_modules.get(("A", 0)) is None
+    assert solved == [] and solved_duals == [] and regular == []
 
 
 def _reachable(root):
