@@ -428,9 +428,15 @@ class Algebra:
     def arrow_ends(self) -> list[tuple[int, int, int]]:
         """(g, s, t) for every arrow g of the basis and every pair of vertices
         with e_s * g * e_t != 0: one pair per arrow, its source and target,
-        on a path basis."""
+        on a path basis.  On a Peirce basis (_peirce) e_s * g * e_t is g when
+        g lies in L[s] and R[t], else 0, so the pairs are read off L and R
+        with no product."""
         k, p, t, d = self.num_vertices, self.p, self.table, self.dim
         arrows = self.generator_indices()[k:]
+        if self._peirce is not None:  # b -> the s with b in L[s], and in R[s]
+            left, right = ({b: s for s, span in enumerate(spans) for b in span}
+                           for spans in self._peirce)
+            return [(int(g), left[g], right[g]) for g in arrows]
         # [g, s, (t, :)] = e_s * g * e_t, from [g, s, :] = e_s * g and [f, (t, :)] = f * e_t
         sandwiched = matmul_mod(t[:k, arrows].transpose(1, 0, 2), t[:, :k].reshape(d, k * d), p)
         nonzero = sandwiched.reshape(len(arrows), k, k, d).any(axis=3)
@@ -457,8 +463,13 @@ class Algebra:
     def _block_actions(self, action: np.ndarray) -> np.ndarray:
         """The matrices of the blocks e_s * g * e_t of arrow_ends on a module with
         this action tensor.  Products of consecutive blocks span rad A, so the
-        blocks generate it as a left and as a right ideal."""
+        blocks generate it as a left and as a right ideal.  On a Peirce basis
+        each block is its arrow g, and the action, multiplicative as every
+        module's is (checked, or by construction), gives e_s·g·e_t the matrix
+        of g itself."""
         g, s, t = np.array(self.arrow_ends, dtype=np.int64).reshape(-1, 3).T
+        if self._peirce is not None:
+            return action[g]
         return matmul_mod(matmul_mod(action[s], action[g], self.p), action[t], self.p)
 
     def opposite(self) -> "Algebra":

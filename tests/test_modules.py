@@ -447,6 +447,26 @@ def test_the_family_read_off_the_table_equals_the_general_route(monkeypatch, gro
         assert all("f_dual" not in b._standard_records["I", i][2] for i in range(b.num_vertices))
 
 
+def test_arrow_blocks_read_off_a_peirce_basis_equal_the_products(monkeypatch, corpus0):
+    # On a Peirce basis arrow_ends and _block_actions take no product.  With
+    # _peirce hidden, a new build of each algebra takes the product route,
+    # which a basis that is not of paths takes (a3_rebased).
+    cases = []
+    for a in [a for _, a in corpus0] + [build_nakayama(3, 3, LARGE_P)]:
+        assert a._peirce is not None and a.opposite()._peirce is not None
+        family = [f(a, i) for f in (simple, projective, injective) for i in range(a.num_vertices)]
+        family += [f_dual(v) for v in family]  # over the opposite
+        blocks = [v.algebra._block_actions(v.action) for v in family]
+        cases.append((a, a.arrow_ends, a.opposite().arrow_ends, family, blocks))
+    monkeypatch.setattr(Algebra, "_peirce", property(lambda a: None))
+    for a, ends, opposite_ends, family, blocks in cases:
+        b = Algebra(a.field, a.table, a.labels, a.path_lengths, a.num_vertices)
+        assert b.arrow_ends == ends and b.opposite().arrow_ends == opposite_ends
+        for v, want in zip(family, blocks):
+            over = b if v.algebra is a else b.opposite()
+            assert np.array_equal(over._block_actions(v.action), want)
+
+
 def _rebased_algebra(a, rng):
     """a on the basis b_c + (random multiples of the longer basis elements):
     the same algebra, not on a path basis once the sums cross vertices."""

@@ -23,6 +23,8 @@ from loewy import (
     socle_map,
     socle_n,
     socle_submodule,
+    subquotient,
+    verify_duality_lemmas,
 )
 from loewy.linalg import Subspace, kernel
 from loewy.modules import ModuleMap
@@ -189,6 +191,7 @@ def test_dual_layer_iso(sample):
 @pytest.mark.parametrize("wrong", ["same dimension", "smaller"])
 def test_dual_layer_iso_rejects_a_wrong_dual_radical(n22, monkeypatch, wrong):
     import loewy.series as series
+    import loewy.verify as verify
 
     u = projective(n22, 0)  # uniserial of dimension 3
     du = f_dual(u)
@@ -205,10 +208,47 @@ def test_dual_layer_iso_rejects_a_wrong_dual_radical(n22, monkeypatch, wrong):
         # rad^2(DU) annihilates soc^1 U too, but is too small to be all of it.
         fake = real(du, 2)
         assert fake.dim < true_rad.dim
-    monkeypatch.setattr(series, "radical_n",
-                        lambda v, m: fake if v is du and m == 1 else real(v, m))
+    clean = verify_duality_lemmas(n22).checks[0].evidence
+    def wrong_radical_n(v, m):
+        return fake if v is du and m == 1 else real(v, m)
+
+    monkeypatch.setattr(series, "radical_n", wrong_radical_n)
     with pytest.raises(ValueError, match="dual radical series does not annihilate"):
         dual_layer_iso(u, 1)
+    # The checker reads the terms through its own binding.  rad^1(DU) is a
+    # term of the P0 layers at n = 1 and n = 2.
+    monkeypatch.setattr(verify, "radical_n", wrong_radical_n)
+    check = verify_duality_lemmas(n22).checks[0]
+    assert check.status == "fail"
+    affected = {("P0", "layer", 1), ("P0", "layer", 2)}
+    assert len(check.evidence) == len(clean)
+    for row, before in zip(check.evidence, clean):
+        want = (-1, -1, False) if row[:3] in affected else before[3:]
+        assert row[:3] == before[:3] and row[3:] == want, row
+
+
+def test_verify_duality_lemmas_rejects_a_term_that_is_not_invariant(n22, monkeypatch):
+    import loewy.verify as verify
+
+    u = projective(n22, 0)
+    real = verify.radical_n
+    rad = real(u, 1)
+    d = u.dim
+    windows = [Subspace.from_rows(np.eye(d, dtype=np.int64)[s:s + rad.dim], d, P)
+               for s in (0, 1)]
+    fake = next(w for w in windows if w != rad)
+    # The capital U / fake that dual_socle_capital_iso would build.
+    with pytest.raises(ValueError, match="not invariant"):
+        subquotient(u, Subspace.full(d, P), fake)
+    clean = verify_duality_lemmas(n22).checks[0].evidence
+    monkeypatch.setattr(verify, "radical_n",
+                        lambda v, m: fake if v is u and m == 1 else real(v, m))
+    check = verify_duality_lemmas(n22).checks[0]
+    assert check.status == "fail"
+    assert len(check.evidence) == len(clean)
+    for row, before in zip(check.evidence, clean):
+        failed = row[:3] == ("P0", "socle-capital", 1)
+        assert row[:3] == before[:3] and row[3:] == ((-1, -1, False) if failed else before[3:])
 
 
 def test_layer_table_of_linear_quiver(a3):
