@@ -386,12 +386,11 @@ class Algebra:
         # side on the rows a*b of the block, the right side on t[lo:hi].
         gens = self.generator_indices()
         n = len(gens)
-        by_gen = t[:, gens, :]  # [c, g] = c*g
-        by_gens = by_gen.reshape(d, n * d)
+        bg, bg_rows = self._generator_products
+        rb, rg = np.nonzero(bg)  # the nonzero b*g
+        by_gens = t[:, gens, :].reshape(d, n * d)  # [c, (g, x)] = (c*g)_x
         ab = t.any(axis=2)  # a*b != 0
         la, lb = np.nonzero(ab)  # the nonzero a*b, ordered by a
-        rb, rg = np.nonzero(by_gen.any(axis=2))  # the nonzero b*g
-        bg_rows = by_gen[rb, rg]
         row_of = np.full((d, n), -1)  # the row of b*g in bg_rows, or -1 where b*g = 0
         row_of[rb, rg] = np.arange(len(rb))
         l_start = np.concatenate(([0], np.cumsum(ab.sum(axis=1))))  # left rows before each a
@@ -423,6 +422,17 @@ class Algebra:
     def generator_indices(self) -> np.ndarray:
         """Basis indices of the trivial paths and arrows present in the basis, read-only."""
         return self._generators
+
+    @cached_property
+    def _generator_products(self) -> tuple[np.ndarray, np.ndarray]:
+        """(nonzero, rows): nonzero[c, g] tells whether basis element c times
+        generator g is nonzero, and rows holds those products c*g, in the
+        order of np.nonzero(nonzero).  Both are read-only."""
+        by_gen = self.table[:, self.generator_indices(), :]
+        nonzero = by_gen.any(axis=2)
+        rows = by_gen[nonzero]
+        nonzero.flags.writeable = rows.flags.writeable = False
+        return nonzero, rows
 
     @cached_property
     def arrow_ends(self) -> list[tuple[int, int, int]]:

@@ -122,13 +122,17 @@ class Module:
 
     def _verify(self) -> None:
         a, p, d = self.algebra, self.algebra.p, self.dim
-        if not np.array_equal(self.act(a.one), np.eye(d, dtype=np.int64)):
+        one = self.action[: a.num_vertices].sum(axis=0) % p  # 1 = e_0 + ... + e_{k-1}
+        if not np.array_equal(one, np.eye(d, dtype=np.int64)):
             raise ValueError("identity does not act as the identity matrix")
-        # Multiplicativity against the generators, all in one product, pins
-        # down the whole action: Algebra checks that they generate A.
+        # Multiplicativity against the generators pins down the whole action:
+        # Algebra checks that they generate A.  action[c·g] is taken only
+        # where c·g != 0, mostly a few of the (c, g) on a path basis; where
+        # c·g = 0 it is 0, and action[c]·action[g] is compared with 0.
         gens, n = a.generator_indices(), a.dim
-        flat = self.action.reshape(n, d * d)
-        prod = matmul_mod(a.table[:, gens, :], flat, p).reshape(n, len(gens), d, d)
+        nonzero, rows = a._generator_products
+        prod = np.zeros((n, len(gens), d, d), dtype=np.int64)
+        prod[nonzero] = matmul_mod(rows, self.action.reshape(n, d * d), p).reshape(len(rows), d, d)
         # [c, g] = action[c]·action[g], as one 2-D product (c, i) x (g, j).
         direct = matmul_mod(self.action.reshape(n * d, d),
                             self.action[gens].transpose(1, 0, 2).reshape(d, len(gens) * d), p)

@@ -32,7 +32,10 @@ requests wrap them, as they are, in a new SubquotientModule, so all
 wrappers of one pair share its action, its vertex basis, series, duals
 and nested quotients, and nothing is reduced, tested or eliminated
 again.  The maps built here carry the adjunction and the duality
-isomorphisms, and every one of them is checked to intertwine.
+isomorphisms, and every one of them is checked to intertwine.  They are
+the explicit-map API: the checkers in verify decide the same maps, with
+the same checks, in stacked products of padded matrices, and the tests
+compare the two.
 """
 
 from __future__ import annotations

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Algebra, is_symmetric
-from .linalg import matmul_mod
+from .linalg import Subspace, kernel, matmul_mod, rref
 from .modules import (
     Module,
-    ModuleMap,
     a_dual,
     f_dual,
     find_isomorphism,
@@ -36,18 +35,7 @@ from .modules import (
     projective,
     simple,
 )
-from .series import (
-    adjunction_backward,
-    adjunction_forward,
-    capital_map,
-    capital_n,
-    layer_table,
-    radical_layer,
-    radical_n,
-    socle_map,
-    socle_n,
-    socle_submodule,
-)
+from .series import layer_table, radical_layer, radical_n, socle_n
 
 __all__ = [
     "CheckResult",
@@ -210,41 +198,60 @@ def _sample_family(a: Algebra) -> list[tuple[str, Module]]:
     return family
 
 
-def _random_hom(rng, basis: list[ModuleMap]):
-    """A random combination of a Hom basis, never zero; None if it is empty."""
-    if not basis:
-        return None
-    u, v = basis[0].source, basis[0].target
-    p = u.algebra.p
-    coeffs = rng.integers(0, p, size=len(basis)).astype(np.int64)
-    if not coeffs.any():
-        coeffs[int(rng.integers(0, len(basis)))] = 1
-    stacked = np.array([f.matrix for f in basis]).reshape(len(basis), -1)
-    return ModuleMap(u, v, matmul_mod(coeffs, stacked, p))
-
-
 def verify_adjunction(a: Algebra, sample_size: int = 3, seed: int = 0) -> VerificationReport:
     """Round trips and naturality of the capital/socle adjunction.
 
     For sampled pairs (U, V) and every n from 0 to the Loewy length, both
     round trips across Hom(U/rad^n U, V) <-> Hom(U, soc^n V) must be the
     identity on full hom bases; sampled naturality squares must commute.
-    Each Hom basis is solved once per call, however often the samples name
-    it: it is kept under the family labels and, for a capital or a socle
-    submodule, the series term it is cut at, which levels past the end of
-    the series share.  The maps built from these bases stay checked.
+    Hom(U, V) is solved once per call for each pair of family labels,
+    however often the samples name it, and the bases of a level are read
+    off it (_restricted_hom), once per series term they are cut at.  The
+    maps of adjunction_forward, adjunction_backward, capital_map and
+    socle_map are taken in stacked products of padded matrices
+    (_adjunction_term), with every check those functions make, raising
+    the same errors; no subquotient or ModuleMap is built.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     family = _sample_family(a)
     L = a.loewy_length
     p = a.p
-    solved: dict[tuple, list[ModuleMap]] = {}
+    gens = a.generator_indices()
+    solved: dict[tuple, np.ndarray] = {}  # (U label, V label, *term key) -> stack of maps
+    terms: dict[tuple, tuple] = {}  # (label, kind, W) -> _adjunction_term
 
-    def hom(key: tuple, u: Module, v: Module) -> list[ModuleMap]:
+    def hom(u_label: str, u: Module, v_label: str, v: Module, term: tuple = ()) -> np.ndarray:
+        """hom_space(U, V) as a stack, or with the key of a term, the capital's or
+        the socle submodule's Hom read off it."""
+        key = (u_label, v_label, *term)
         if key not in solved:
-            solved[key] = hom_space(u, v)
+            if term:
+                solved[key] = _restricted_hom(hom(u_label, u, v_label, v), terms[term], term[1], p)
+            else:
+                maps = hom_space(u, v)
+                solved[key] = np.array([f.matrix for f in maps], dtype=np.int64).reshape(
+                    len(maps), u.dim, v.dim)
         return solved[key]
+
+    def term(label: str, v: Module, kind: str, n: int) -> tuple:
+        """The key of rad^n V or soc^n V in terms, built and checked once."""
+        key = (label, kind, radical_n(v, n) if kind == "radical" else socle_n(v, n))
+        if key not in terms:
+            terms[key] = _adjunction_term(v, key[2], kind)
+        return key
+
+    def draw(h: np.ndarray, u: Module, v: Module):
+        """A random combination of the maps h, never zero, checked, as a stack of
+        one; None if h is empty."""
+        if not len(h):
+            return None
+        coeffs = rng.integers(0, p, size=len(h)).astype(np.int64)
+        if not coeffs.any():
+            coeffs[int(rng.integers(0, len(h)))] = 1
+        f = matmul_mod(coeffs, h.reshape(len(h), -1), p).reshape(1, u.dim, v.dim)
+        _raise_first([(_intertwines(u.action[gens], f, v.action[gens], p), _NOT_INTERTWINING)])
+        return f
 
     pairs = []
     for _ in range(sample_size):
@@ -254,19 +261,22 @@ def verify_adjunction(a: Algebra, sample_size: int = 3, seed: int = 0) -> Verifi
     round_trips = 0
     failures = 0
     for u_label, u, v_label, v in pairs:
+        u_gens, v_gens = u.action[gens], v.action[gens]
         for n in range(L + 1):
-            for f in hom(("capital", u_label, radical_n(u, n), v_label), capital_n(u, n), v):
-                g = adjunction_forward(f, n)
-                f_back = adjunction_backward(g, n)
-                if not np.array_equal(f_back.matrix, f.matrix):
-                    failures += 1
-                round_trips += 1
-            for g in hom(("socle", u_label, v_label, socle_n(v, n)), u, socle_submodule(v, n)):
-                f = adjunction_backward(g, n)
-                g_back = adjunction_forward(f, n)
-                if not np.array_equal(g_back.matrix, g.matrix):
-                    failures += 1
-                round_trips += 1
+            cap_key, soc_key = term(u_label, u, "radical", n), term(v_label, v, "socle", n)
+            cap, soc = terms[cap_key], terms[soc_key]
+            fs, gs = hom(u_label, u, v_label, v, cap_key), hom(u_label, u, v_label, v, soc_key)
+            if len(fs):
+                g, checks = _forward(fs, u_gens, cap, soc, p)
+                back, more = _backward(g, v_gens, cap, soc, p)
+                _raise_first(checks + more)
+                failures += int((back != fs).any(axis=(1, 2)).sum())
+            if len(gs):
+                f, checks = _backward(gs, v_gens, cap, soc, p)
+                back, more = _forward(f, u_gens, cap, soc, p)
+                _raise_first(checks + more)
+                failures += int((back != gs).any(axis=(1, 2)).sum())
+            round_trips += len(fs) + len(gs)
     squares = 0
     attempts = 0
     square_target = 2 * sample_size
@@ -276,23 +286,29 @@ def verify_adjunction(a: Algebra, sample_size: int = 3, seed: int = 0) -> Verifi
         n = int(rng.integers(0, L + 1))
         u2_label, u2 = family[int(rng.integers(0, len(family)))]
         v2_label, v2 = family[int(rng.integers(0, len(family)))]
-        map_u = _random_hom(rng, hom((u2_label, u_label), u2, u))
-        map_v = _random_hom(rng, hom((v_label, v2_label), v, v2))
+        map_u = draw(hom(u2_label, u2, u_label, u), u2, u)
+        map_v = draw(hom(v_label, v, v2_label, v2), v, v2)
         if map_u is None or map_v is None:
             continue
-        hom_basis = hom(("capital", u_label, radical_n(u, n), v_label), capital_n(u, n), v)
-        if not hom_basis:
+        cap_key = term(u_label, u, "radical", n)
+        hom_basis = hom(u_label, u, v_label, v, cap_key)
+        if not len(hom_basis):
             continue
         f = hom_basis[int(rng.integers(0, len(hom_basis)))]
-        cap_u = capital_map(map_u, n)
-        soc_v = socle_map(map_v, n)
+        cap, soc = terms[cap_key], terms[term(v_label, v, "socle", n)]
+        cap2 = terms[term(u2_label, u2, "radical", n)]
+        cap_u, checks = _capital_map(map_u, cap, cap2, p)
+        _raise_first(checks)
+        soc2 = terms[term(v2_label, v2, "socle", n)]
+        soc_v, checks = _socle_map(map_v, soc, soc2, p)
         # route 1: transport f along the square, then take the adjoint
-        transported = matmul_mod(matmul_mod(cap_u.matrix, f.matrix, p), map_v.matrix, p)
-        f2 = ModuleMap(capital_n(u2, n), v2, transported)
-        lhs = adjunction_forward(f2, n).matrix
+        transported = matmul_mod(matmul_mod(cap_u, f, p), map_v, p)
+        lhs, more = _forward(transported, u2.action[gens], cap2, soc2, p)
+        _raise_first(checks + [(_intertwines(cap2[3], transported, v2.action[gens], p),
+                                _NOT_INTERTWINING)] + more)
         # route 2: take the adjoint, then transport along the square
-        eta_f = adjunction_forward(f, n)
-        rhs = matmul_mod(matmul_mod(map_u.matrix, eta_f.matrix, p), soc_v.matrix, p)
+        eta_f = matmul_mod(cap[1], f, p) * soc[2]
+        rhs = matmul_mod(matmul_mod(map_u, eta_f, p), soc_v, p)
         if not np.array_equal(lhs, rhs):
             failures += 1
         squares += 1
@@ -303,6 +319,130 @@ def verify_adjunction(a: Algebra, sample_size: int = 3, seed: int = 0) -> Verifi
         ("failures", failures),
     ]
     return _report(a, CheckResult("adjunction", "pass" if failures == 0 else "fail", evidence), t0)
+
+
+_NOT_INTERTWINING = "matrix does not intertwine the algebra actions"
+
+
+def _adjunction_term(v: Module, w: Subspace, kind: str) -> tuple:
+    """(L_W, R_W, m, action on the generators) for the term W = rad^n V of
+    the capital V/W (kind "radical") or W = soc^n V of the submodule W
+    (kind "socle"), raising as subquotient would.
+
+    As in _decide_block, L_W is the d x d matrix with W's reduced basis on
+    its pivot rows and R_W = W.reduce(1) = (1 - L_W) mod p, and the
+    subquotient's maps are padded by zeros to d x d at its positions m:
+    - the capital sits off W's pivots, with lift diag(m), proj R_W·diag(m)
+      and action diag(m)·g·R_W·diag(m);
+    - the submodule sits at W's pivots, with lift L_W, proj diag(m) and
+      action L_W·g·diag(m).
+    Products of padded matrices are the padded products, so the maps of the
+    adjunction are adjunction_forward's and adjunction_backward's, padded,
+    and each of their checks is the same test on a stack.  W is invariant
+    exactly when L_W·g·R_W = 0 for every generator g.
+    """
+    d, p = v.dim, v.algebra.p
+    if w.ambient != d or w.p != p:
+        raise ValueError("subspace does not live in the module's coordinate space")
+    lift = np.zeros((d, d), dtype=np.int64)
+    lift[w.pivots] = w.basis
+    residue = (np.eye(d, dtype=np.int64) - lift) % p
+    mask = np.zeros(d, dtype=bool)
+    mask[w.pivots] = True
+    gens = v.action[v.algebra.generator_indices()]
+    if kind == "radical":
+        mask = ~mask
+        moved = matmul_mod(gens, residue, p)  # g·R_W
+        image = matmul_mod(lift, moved, p)
+        action = moved * mask[:, None] * mask
+    else:
+        moved = matmul_mod(lift, gens, p)  # L_W·g
+        image = matmul_mod(moved, residue, p)
+        action = moved * mask
+    if image.any():
+        raise ValueError("subspace is not invariant under the algebra action")
+    return lift, residue, mask, action
+
+
+def _restricted_hom(h: np.ndarray, term: tuple, kind: str, p: int) -> np.ndarray:
+    """The padded basis of Hom(U/rad^n U, V) (kind "radical") or Hom(U, soc^n V)
+    (kind "socle") read off the stack h of Hom(U, V), for the _adjunction_term
+    of rad^n U or soc^n V.
+
+    By the universal property of the quotient, Hom(U/W, V) is
+    {x in span h : W·x = 0}, restricted to a complement of W (Auslander,
+    Reiten and Smalo, Representation Theory of Artin Algebras, I.4), and
+    Hom(U, W) is {x in span h : x·R_W = 0}.  The capital's lift diag(m) and
+    the submodule's proj diag(m) make these diag(m)·x and x·diag(m), which
+    determine x.  So one kernel on the coefficients of h spans the space,
+    and rref of the flattened stack gives hom_space's canonical basis padded
+    by zeros: zero columns do not change a reduced row-echelon form.
+    """
+    lift, residue, mask, _ = term
+    if kind == "radical":
+        zero, mask = matmul_mod(lift, h, p), mask[:, None]
+    else:
+        zero = matmul_mod(h, residue, p)
+    m, rows = len(h), h.shape[1] * h.shape[2]
+    if not m or not zero.any() and mask.all():
+        return h  # none, or the whole Hom(U, V), already reduced
+    coeffs = kernel(zero.reshape(m, rows).T, p).basis
+    span = matmul_mod(coeffs, h.reshape(m, rows), p).reshape(len(coeffs), *h.shape[1:]) * mask
+    return rref(span.reshape(len(coeffs), rows), p)[0].reshape(span.shape)
+
+
+def _contained(x: np.ndarray, term: tuple, p: int) -> np.ndarray:
+    """Per map of the stack x: whether its rows lie in the term's W."""
+    return ~matmul_mod(x, term[1], p).any(axis=(1, 2))
+
+
+def _intertwines(source: np.ndarray, maps: np.ndarray, target: np.ndarray, p: int) -> np.ndarray:
+    """Per map of the stack: whether source[g]·map = map·target[g] for each generator g."""
+    return (matmul_mod(source, maps[:, None], p)
+            == matmul_mod(maps[:, None], target, p)).all(axis=(1, 2, 3))
+
+
+def _forward(f: np.ndarray, u_gens: np.ndarray, cap: tuple, soc: tuple, p: int):
+    """adjunction_forward on a stack of padded maps U/rad^n U -> V: the maps
+    U -> soc^n V and its checks, in order, as (passed per map, message)."""
+    through = matmul_mod(cap[1], f, p)  # the capital's proj·f, as f is 0 off its positions
+    g = through * soc[2]  # ·the submodule's proj
+    return g, [(_contained(through, soc, p), "image does not lie in the n-th socle"),
+               (_intertwines(u_gens, g, soc[3], p), _NOT_INTERTWINING)]
+
+
+def _backward(g: np.ndarray, v_gens: np.ndarray, cap: tuple, soc: tuple, p: int):
+    """adjunction_backward on a stack of padded maps U -> soc^n V: the maps
+    U/rad^n U -> V and its checks, in order."""
+    f = matmul_mod(g, soc[0], p) * cap[2][:, None]  # the capital's lift·g·the submodule's lift
+    killed = ~matmul_mod(cap[0], g, p).any(axis=(1, 2))  # rad^n U·g = 0
+    return f, [(killed, "map does not kill rad^n of its source"),
+               (_intertwines(cap[3], f, v_gens, p), _NOT_INTERTWINING)]
+
+
+def _capital_map(maps: np.ndarray, cap: tuple, cap2: tuple, p: int):
+    """capital_map on a stack of maps U2 -> U, for the terms rad^n U (cap) and
+    rad^n U2 (cap2): the padded maps diag(m2)·map·R_W·diag(m) and its check."""
+    moved = matmul_mod(maps, cap[1], p) * cap[2] * cap2[2][:, None]
+    return moved, [(_intertwines(cap2[3], moved, cap[3], p), _NOT_INTERTWINING)]
+
+
+def _socle_map(maps: np.ndarray, soc: tuple, soc2: tuple, p: int):
+    """socle_map on a stack of maps V -> V2, for the terms soc^n V (soc) and
+    soc^n V2 (soc2): the padded maps L_W·map·diag(m2) and its checks, in order."""
+    moved = matmul_mod(soc[0], maps, p)
+    restricted = moved * soc2[2]
+    return restricted, [(_contained(moved, soc2, p), "map does not carry the socle into the socle"),
+                        (_intertwines(soc[3], restricted, soc2[3], p), _NOT_INTERTWINING)]
+
+
+def _raise_first(checks: list) -> None:
+    """Raise the message of the first check, in order, that the first map
+    failing any fails, as the maps taken one at a time would."""
+    failed = ~np.array([ok for ok, _ in checks])  # [check, map]
+    if failed.any():
+        first = failed[:, int(failed.any(axis=0).argmax())]
+        raise ValueError(checks[int(first.argmax())][1])
 
 
 def verify_duality_lemmas(a: Algebra) -> VerificationReport:

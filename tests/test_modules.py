@@ -167,6 +167,21 @@ def test_module_verification_catches_broken_action(k, ell, entry):
         Module(a, act)
 
 
+def test_module_verification_checks_the_products_that_vanish():
+    # In F[x]/(x^2) over GF(5), x·x = 0.  Letting x act as 1 keeps 1·x = x·1
+    # = x, so only the pair (x, x), whose row in the structure table is zero,
+    # tells that the action is not multiplicative; so it does for x acting
+    # as diag(2, 0).  A nilpotent x is accepted.
+    a = build_nakayama(1, 1, P)
+    x = a.labels.index("a0")
+    assert not a.table[x, x].any()
+    for action in (np.ones((a.dim, 1, 1), dtype=np.int64),
+                   np.array([np.eye(2, dtype=np.int64), [[2, 0], [0, 0]]])):
+        with pytest.raises(ValueError, match="not multiplicative against basis element 'a0'"):
+            Module(a, action)
+    Module(a, np.array([np.eye(2, dtype=np.int64), [[0, 1], [0, 0]]]))  # x acts as a nilpotent
+
+
 def test_submodule_requires_invariance():
     loop = build_nakayama(1, 2)  # F[x]/(x^3)
     reg = regular_module(loop)

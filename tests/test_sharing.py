@@ -17,8 +17,8 @@ freed by reference counting alone.  They also
 check that what subquotient, hom_space and f_dual_map build unchecked
 passes the checks it skips, that the maps carrying the adjunction
 checker's claims are still checked, that verify_adjunction solves each
-Hom pair once and that verify_duality_lemmas decides each module's tuple
-of terms once.
+Hom pair once and none on a capital or socle submodule, and that
+verify_duality_lemmas decides each module's tuple of terms once.
 """
 
 import gc
@@ -453,16 +453,26 @@ def test_run_corpus_checks_once(monkeypatch):
     monkeypatch.setattr(ModuleMap, "_intertwines",
                         lambda f: intertwined.append(f) or intertwines(f))
     _rebind(monkeypatch, modules.hom_space, _recording(modules.hom_space, hom_maps))
-    # The maps that carry the adjunction.  verify_duality_lemmas builds no
-    # map: it decides its isomorphisms in stacked products.
-    for original in (verify.adjunction_forward, verify.adjunction_backward):
-        _rebind(monkeypatch, original, _recording(original, claims))
+    # The maps that carry the adjunction, with their checks.  Neither
+    # verify_adjunction nor verify_duality_lemmas builds a map: they decide
+    # stacks of padded matrices.
+    def recording(original):
+        def record(*args):
+            claims.append(original(*args))  # (maps, checks)
+            return claims[-1]
+        return record
+
+    for name in ("_forward", "_backward"):
+        monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
     reports = run_corpus([("nakayama-k3-l2", build_nakayama(3, 2))])
     assert [r.status for r in reports] == ["unknown"]  # not symmetric: Landrock skipped
     assert verified and not any(isinstance(v, SubquotientModule) for v in verified)
     checked = {id(f) for f in intertwined}  # each f is held by a list above
     assert hom_maps and not any(id(f) in checked for f in hom_maps)
-    assert claims and all(id(f) in checked for f in claims)
+    # Each stack of maps was checked to intertwine, map by map, and passed.
+    assert claims and any(len(maps) for maps, _ in claims)
+    assert all(any(message == verify._NOT_INTERTWINING and ok.shape == (len(maps),) and ok.all()
+                   for ok, message in checks) for maps, checks in claims)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -486,6 +496,15 @@ def test_verify_adjunction_solves_each_hom_pair_once(monkeypatch, seed):
     assert report.status == "pass"
     keys = [(ku, kv) for _, _, ku, kv in pairs]
     assert keys and len(set(keys)) == len(keys)
+    # The capital and socle Hom bases are read off Hom(U, V): the only
+    # subquotients solved are the projectives and their second radical
+    # layers, members of the sampled family.
+    subquotients = [w for u, v, _, _ in pairs for w in (u, v) if isinstance(w, SubquotientModule)]
+    assert any(w._projective_at is None for w in subquotients)
+    for w in subquotients:
+        if w._projective_at is None:
+            assert w.parent._projective_at is not None
+            assert (w.top, w.bot) == (radical_n(w.parent, 1), radical_n(w.parent, 2))
 
 
 def test_verify_duality_lemmas_decides_each_tuple_of_terms_once(monkeypatch):
