@@ -547,7 +547,10 @@ def is_symmetric(a: Algebra, seed: int = 0) -> SymmetryResult:
     and then l is nondegenerate exactly when l(s_j) != 0 for every j
     (Skowronski-Yamagata, Frobenius Algebras I, EMS 2011).  So the answer
     is "no" when some soc(A_A) e_j is not a line, or when no form vanishing
-    on commutators is nonzero on every s_j.
+    on commutators is nonzero on every s_j.  Those are the forms vanishing
+    on [b, g] for basis elements b and generators g: [x, gh] = [xg, h] +
+    [hx, g], so by induction on the length of y as a product of
+    generators, which span A, each [x, y] is a sum of [z, g].
 
     Decided once per algebra, which never changes: the result is kept on a
     and returned again, so its form is read-only.  A and A^op are decided
@@ -563,8 +566,7 @@ def is_symmetric(a: Algebra, seed: int = 0) -> SymmetryResult:
 
 def _decide_symmetry(a: Algebra) -> SymmetryResult:
     p, d, k, t = a.p, a.dim, a.num_vertices, a.table
-    diffs = (t - t.transpose(1, 0, 2)).reshape(d * d, d) % p
-    cand = kernel(diffs, p)  # forms vanishing on commutators, as rows
+    cand = _central_forms(a)
     socle = _right_socle(a)
     lines = []
     for j in range(k):
@@ -584,6 +586,12 @@ def _decide_symmetry(a: Algebra) -> SymmetryResult:
         raise RuntimeError("the symmetrizing form found has a degenerate Gram matrix")
     lam.flags.writeable = False
     return SymmetryResult("yes", lam)
+
+
+def _central_forms(a: Algebra) -> Subspace:
+    """The forms vanishing on the commutators [b, g] = b*g - g*b, as rows."""
+    gens = a.generator_indices()
+    return kernel((a.table[:, gens] - a.table[gens].transpose(1, 0, 2)).reshape(-1, a.dim), a.p)
 
 
 def _right_socle(a: Algebra) -> Subspace:

@@ -41,14 +41,15 @@ parent is A_A, built only when asked for.  No cached value or record
 points back at a module's owner, so an algebra and every module built
 over it are freed by reference counting alone.
 
-Each module keeps one vertex basis (Module._vertex_basis), on which
-hom_space solves, layer_table counts and find_isomorphism reads tops.  On
-a vertex-adapted module, such as the standard modules of a Peirce basis,
-it is read off the coordinates without elimination.  Out of a standard
-projective P_i and into a standard injective I_i, hom_space reads the
-basis off V e_i in closed form instead of solving: projective and
-injective tag the modules they build with their vertex and the lift of
-e_i A, never with another module.
+Each module keeps one graded coordinate change (Module._vertex_basis),
+putting each V e_i on its own block of coordinates, in which hom_space
+solves, layer_table counts and find_isomorphism reads tops.  On a
+vertex-adapted module, such as the standard modules of a Peirce basis,
+its coordinates are graded already: reading them is a gather.  Out of a
+standard projective P_i and into a standard injective I_i, hom_space
+reads the basis off V e_i in closed form instead of solving: projective
+and injective tag the modules they build with their vertex and the lift
+of e_i A, never with another module.
 """
 
 from __future__ import annotations
@@ -144,17 +145,19 @@ class Module:
                 f"action is not multiplicative against basis element {a.labels[g]!r}"
             )
 
-    def _vertex_basis(self) -> tuple[list[Subspace], list[np.ndarray], np.ndarray | None]:
-        """(R, C, block): R[i] = V e_i and C[i] = action[i][:, R[i].pivots]
-        for each vertex i, so action[i] = C[i]·R[i].basis and R[j].basis·C[i]
-        is 1 if j == i, else 0.  Computed once per action, which nothing
-        reassigns, and kept in _data, which every wrapper of the action shares.
+    def _vertex_basis(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
+        """(T, T_inv, block), a graded coordinate change: the rows of T are a
+        basis, row x in V e_block[x], and T_inv inverts T.  In the graded
+        coordinates x·T_inv, e_i acts as the 0/1 diagonal of block == i, and
+        c as T·action[c]·T_inv.  Computed once per action, which nothing
+        reassigns, and kept in _data, which every wrapper of it shares.
 
         On a vertex-adapted module, whose idempotents act on its coordinates
-        as 0/1 diagonals (every standard module of a Peirce basis), R[i] is
-        the identity's rows where e_i is 1, read with no elimination, and
-        block[x] is the vertex of coordinate x.  Otherwise each R[i] is
-        eliminated and block is None.
+        as 0/1 diagonals (every standard module of a Peirce basis), these
+        are graded already: T = T_inv = None, and block is read off the
+        diagonals with no elimination.  Otherwise T stacks the reduced bases
+        R_i of the V e_i, and T_inv the columns C_i = action[i][:, R_i.pivots]:
+        R_j·C_i is 1 if j == i, else 0, and the C_i·R_i add up to 1.
         """
         if "vertex" not in self._data:
             a, d = self.algebra, self.dim
@@ -162,17 +165,16 @@ class Module:
             diag = idem[:, np.arange(d), np.arange(d)]
             # Each coordinate has one 1 on the diagonals, and nothing lies off them.
             if (diag.sum(axis=0) == 1).all() and np.count_nonzero(idem) == d:
+                t = t_inv = None
                 block = diag.argmax(axis=0)
-                eye = np.eye(d, dtype=np.int64)
-                rows = [Subspace(eye[on], d, a.p, np.flatnonzero(on).tolist()) for on in diag == 1]
-                block.flags.writeable = False
             else:
-                block = None
                 rows = [Subspace.from_rows(e, d, a.p) for e in idem]
-            cols = [e[:, r.pivots] for e, r in zip(self.action, rows)]
-            for c in cols:
-                c.flags.writeable = False
-            self._data["vertex"] = (rows, cols, block)
+                t = np.vstack([r.basis for r in rows])
+                t_inv = np.hstack([e[:, r.pivots] for e, r in zip(idem, rows)])
+                block = np.repeat(np.arange(len(rows)), [r.dim for r in rows])
+                t.flags.writeable = t_inv.flags.writeable = False
+            block.flags.writeable = False
+            self._data["vertex"] = (t, t_inv, block)
         return self._data["vertex"]
 
     def act(self, x: np.ndarray) -> np.ndarray:
@@ -473,86 +475,71 @@ def hom_space(u: Module, v: Module) -> list[ModuleMap]:
     the transposes of those out of e_j A^op into f_dual(u) over the
     opposite algebra, read in the same closed form.
 
-    Otherwise the space is solved on the vertex bases (R_i, C_i) of
-    Module._vertex_basis.  An intertwiner F commutes with every
-    idempotent, so F = sum_i C_i(u) P_i R_i(v), where P_i = R_i(u) F C_i(v)
-    is a free dim(U e_i) x dim(V e_i) block of parameters.  Only the
-    arrows constrain the blocks: an arrow g with e_s g e_t != 0 asks
-    X P_t = P_s Y, where X = R_s(u) g C_t(u) and Y = R_s(v) g C_t(v).  The
-    longer basis elements are products of generators, so this assumes the
-    action is multiplicative, which Module checks for an action given from
-    outside and the constructions preserve (see subquotient).  One kernel
-    over all arrow constraints gives the parameters, mapped back to
-    matrices.
+    Otherwise the space is one kernel in the graded coordinates of
+    Module._vertex_basis, where F' = T_u·F·T_v^-1.  F commutes with every
+    e_i exactly when F'[x, y] = 0 unless block_u[x] == block_v[y], so
+    those entries are the parameters.  Only the arrows constrain them:
+    X F' = F' Y for the graded actions X of u and Y of v of each arrow g,
+    at each entry (a, b) where F' meets e_s g e_t alone, for
+    s = block_u[a] and t = block_v[b].  The longer basis elements are
+    products of generators, so this assumes the action is multiplicative,
+    which Module checks for an action given from outside and the
+    constructions preserve (see subquotient).  The kernel's maps are taken
+    back as T_u^-1·F'·T_v.  On S_i -> V it is the kernel defining soc(V) e_i.
 
     The basis maps are built unchecked, as they intertwine by
     construction.  In closed form, y -> x y is A-linear on e_i A.  When
-    solved, each commutes with the idempotents by its form and the kernel
-    makes it commute with every arrow block.  The last elimination only
-    combines such maps.  That is all that ModuleMap._intertwines would
-    test.
+    solved, F' commutes with the idempotents by its form and with every
+    arrow block by the kernel, and conjugating by T_u and T_v keeps that.
+    The last elimination only combines such maps.  That is all that
+    ModuleMap._intertwines would test.
     """
+    return [ModuleMap(u, v, f, check=False) for f in _hom_stack(u, v)]
+
+
+def _hom_stack(u: Module, v: Module) -> np.ndarray:
+    """hom_space's basis as a stack (len, u.dim, v.dim)."""
     if u.algebra is not v.algebra:
         raise ValueError("modules live over different algebras")
-    p = u.algebra.p
     if u._projective_at is not None:
         maps = _maps_from_projective(*u._projective_at, v)
     elif v._injective_at is not None:
         maps = _maps_from_projective(*v._injective_at, f_dual(u)).transpose(0, 2, 1)
     else:
         maps = _solve_hom(u, v)
-    if len(maps) == 0:
-        return []
-    basis = rref(maps.reshape(len(maps), -1), p)[0]
-    return [ModuleMap(u, v, row.reshape(u.dim, v.dim), check=False) for row in basis]
+    n = len(maps)
+    return rref(maps.reshape(n, u.dim * v.dim), u.algebra.p)[0].reshape(n, u.dim, v.dim)
 
 
 def _maps_from_projective(i: int, lift: np.ndarray, v: Module) -> np.ndarray:
     """The maps y -> x y out of e_i A, with basis lift, into v, one for each
     row x of the basis of v e_i: a stack (dim v e_i, len(lift), v.dim)."""
     p = v.algebra.p
-    rows = v._vertex_basis()[0][i].basis
-    moved = matmul_mod(rows, v.action, p)  # [c, x] = x·action[c]
+    t, _, block = v._vertex_basis()
+    on = block == i
+    moved = v.action[:, on] if t is None else matmul_mod(t[on], v.action, p)  # [c, x]: x·action[c]
     return matmul_mod(lift, moved.transpose(1, 0, 2), p)  # [x] = lift·moved[:, x]
 
 
 def _solve_hom(u: Module, v: Module) -> np.ndarray:
     """The general solve of hom_space: a stack of maps spanning Hom(u, v)."""
-    a = u.algebra
-    p = a.p
-    du, dv = u.dim, v.dim
-    (ru, cu, _), (rv, cv, _) = u._vertex_basis(), v._vertex_basis()
-    offsets = np.cumsum([0] + [eu.dim * ev.dim for eu, ev in zip(ru, rv)])
-    m = int(offsets[-1])
-    if m == 0:
-        return np.zeros((0, du, dv), dtype=np.int64)
-    constraints = []
-    for g, s, t in a.arrow_ends:
-        cs, rt = ru[s].dim, rv[t].dim
-        if cs * rt == 0:
-            continue
-        x, y = (matmul_mod(matmul_mod(r[s].basis, w.action[g], p), c[t], p)
-                for w, r, c in ((u, ru, cu), (v, rv, cv)))
-        block = np.zeros((cs, rt, m), dtype=np.int64)
-        # Coefficient of P_t[c, d] in (X P_t)[a, b] is X[a, c] when b == d.
-        block[:, :, offsets[t]:offsets[t + 1]] += np.einsum(
-            "ac,bd->abcd", x, np.eye(rt, dtype=np.int64)).reshape(cs, rt, -1)
-        # Coefficient of P_s[c, d] in (P_s Y)[a, b] is Y[d, b] when a == c.
-        block[:, :, offsets[s]:offsets[s + 1]] -= np.einsum(
-            "ac,db->abcd", np.eye(cs, dtype=np.int64), y).reshape(cs, rt, -1)
-        constraints.append(block.reshape(cs * rt, m))
-    if constraints:
-        params = kernel(np.concatenate(constraints), p).basis
-    else:
-        params = np.eye(m, dtype=np.int64)
-    n = params.shape[0]
-    if n == 0:
-        return np.zeros((0, du, dv), dtype=np.int64)
-    maps = np.zeros((n, du, dv), dtype=np.int64)
-    for i, (c, r) in enumerate(zip(cu, rv)):
-        block = params[:, offsets[i]:offsets[i + 1]].reshape(n, c.shape[1], r.dim)
-        maps = (maps + matmul_mod(matmul_mod(c, block, p), r.basis, p)) % p
-    return maps
+    p = u.algebra.p
+    (tu, tu_inv, bu), (tv, tv_inv, bv) = u._vertex_basis(), v._vertex_basis()
+    g, s, t = np.array(u.algebra.arrow_ends, dtype=np.int64).reshape(-1, 3).T
+    x, y = (w.action[g] if w_t is None else matmul_mod(matmul_mod(w_t, w.action[g], p), w_inv, p)
+            for w, w_t, w_inv in ((u, tu, tu_inv), (v, tv, tv_inv)))
+    fx, fy = np.nonzero(bu[:, None] == bv)  # the parameters F'[fx, fy]
+    # One row per arrow block e and entry (a, b) in its blocks (s, t).
+    e, ra, rb = (i[:, None] for i in np.nonzero((bu == s[:, None])[:, :, None]
+                                                 & (bv == t[:, None])[:, None]))
+    # The coefficient of F'[c, d] in (X F' - F' Y)[a, b] is X[a, c] [d == b] - [a == c] Y[d, b].
+    constraints = x[e, ra, fx] * (fy == rb) - (fx == ra) * y[e, fy, rb]
+    params = kernel(constraints, p).basis
+    maps = np.zeros((len(params), u.dim, v.dim), dtype=np.int64)
+    maps[:, fx, fy] = params
+    if tu_inv is not None:
+        maps = matmul_mod(tu_inv, maps, p)
+    return maps if tv is None else matmul_mod(maps, tv, p)
 
 
 class ADualModule(Module):
@@ -709,13 +696,25 @@ def _top_scalars(mats: np.ndarray, u: Module, v: Module) -> np.ndarray:
     from .series import radical_n  # series builds on this module
 
     p = u.algebra.p
-    rad_u, rad_v = radical_n(u, 1), radical_n(v, 1)
-    xs, cols = [], []
-    for eu, ev in zip(u._vertex_basis()[0], v._vertex_basis()[0]):
-        outside = np.nonzero(rad_u.reduce(eu.basis).any(axis=1))[0]
-        if outside.size:
-            xs.append(eu.basis[outside[0]])
-            cols.append(np.argwhere(rad_v.reduce(ev.basis))[0, 1])
-    images = matmul_mod(np.array(xs), mats, p)  # (len(mats), len(xs), v.dim)
+    rad_v = radical_n(v, 1)
+    xs, _ = _top_coordinates(u, radical_n(u, 1))
+    _, cols = _top_coordinates(v, rad_v)
+    t = u._vertex_basis()[0]
+    images = mats[:, xs] if t is None else matmul_mod(t[xs], mats, p)  # (maps, len(xs), v.dim)
     reduced = rad_v.reduce(images.reshape(-1, v.dim)).reshape(images.shape)
     return reduced[:, np.arange(len(xs)), cols]
+
+
+def _top_coordinates(v: Module, rad: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols), one of each per vertex j of v's top, in order: row x of
+    v's graded basis (Module._vertex_basis) lies in v e_j outside rad, and
+    the residues of v e_j modulo rad are nonzero in column c.  In adapted
+    coordinates, rad e_j has fewer pivots among j's than v e_j, and a
+    coordinate that is no pivot of rad is its own residue."""
+    t, _, block = v._vertex_basis()
+    if t is None:
+        rows = cols = np.setdiff1d(np.arange(v.dim), rad.pivots)
+    else:
+        rows, cols = np.nonzero(rad.reduce(t))  # row by row, the first nonzero of each first
+    first = np.unique(block[rows], return_index=True)[1]
+    return rows[first], cols[first]

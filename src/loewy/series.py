@@ -13,9 +13,9 @@ direct sum of the W e_j, so once each V e_j lies on its own block of
 coordinates, the pivots of W in block j number dim(W e_j).  On a
 vertex-adapted module, such as a standard module of a path basis, its
 own coordinates are blocked so and the pivots are read with no
-elimination.  Otherwise graded coordinates, read off the module's vertex
-basis, block them, and one elimination of a term W counts every
-dim(W e_j).  The counts are kept with the series.  A standard
+elimination.  Otherwise the graded coordinates of Module._vertex_basis
+block them, and one elimination of a term W counts every dim(W e_j).
+The counts are kept with the series.  A standard
 projective or injective wrapped again from its algebra's record shares
 that plain data, so its series and counts are not derived again.
 Layers are explicit subquotient modules that remember projection/section
@@ -296,24 +296,18 @@ def _vertex_dims(v: Module, kind: str, levels: int) -> np.ndarray:
     A term W is a submodule, so W is the direct sum of the W e_j.  When
     these lie on disjoint blocks of coordinates, the reduced echelon form
     of W is the union of the blocks' forms, so its pivots in block j
-    number dim(W e_j).  On a vertex-adapted module (Module._vertex_basis)
-    the blocks are those of its own coordinates, so the counts are read
-    off each term's pivots with no elimination.  Otherwise each distinct
-    term is eliminated once in the graded coordinates x·graded = (x·C_j)_j,
-    for the vertex basis (R_j, C_j): they are the coordinates of each x e_j
-    in the basis R_j of V e_j, so each V e_j lands injectively on its own
-    block of columns.
+    number dim(W e_j).  The graded coordinates x·T_inv of
+    Module._vertex_basis put each V e_j on the coordinates where block is
+    j.  On a vertex-adapted module they are its own, so the counts are
+    read off each term's pivots with no elimination.  Otherwise each
+    distinct term is eliminated once in graded coordinates.
     """
     counts = v._data.get((kind, "dims"))
     if counts is None:
         p = v.algebra.p
-        rows, cols, block = v._vertex_basis()
-        if block is None:
-            graded = np.hstack(cols)  # d x d
-            block = np.repeat(np.arange(len(rows)), [r.dim for r in rows])  # block of each column
-            pivots = [rref(matmul_mod(w.basis, graded, p), p)[1] for w in _series(v, kind)]
-        else:
-            pivots = [w.pivots for w in _series(v, kind)]
+        _, t_inv, block = v._vertex_basis()
+        pivots = [w.pivots if t_inv is None else rref(matmul_mod(w.basis, t_inv, p), p)[1]
+                  for w in _series(v, kind)]
         counts = v._data[kind, "dims"] = np.array(
-            [np.bincount(block[piv], minlength=len(rows)) for piv in pivots])
+            [np.bincount(block[piv], minlength=v.algebra.num_vertices) for piv in pivots])
     return counts[np.minimum(np.arange(levels + 1), len(counts) - 1)].T

@@ -333,7 +333,7 @@ def test_a_module_in_a_random_basis_takes_the_elimination_route():
     for v in (projective(a, 1), f_dual(projective(a, 2)), a_dual(projective(a, 0)),
               regular_module(a)):
         w = _rebased(v, rng)
-        assert v._vertex_basis()[2] is not None and w._vertex_basis()[2] is None
+        assert v._vertex_basis()[0] is None and w._vertex_basis()[0] is not None
         for kind in ("radical", "socle"):
             assert layer_table([w], kind) == layer_table([v], kind)
 

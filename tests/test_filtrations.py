@@ -149,14 +149,23 @@ def test_vertex_data_read_off_adapted_coordinates_equal_the_eliminated(
     adapted = 0
     for v in seen:
         a, d = v.algebra, v.dim
-        rows, cols, block = v._vertex_basis()
+        t, t_inv, block = v._vertex_basis()
         idem = v.action[: a.num_vertices]
-        assert rows == [Subspace.from_rows(e, d, a.p) for e in idem]
-        assert [r.pivots for r in rows] == [Subspace.from_rows(e, d, a.p).pivots for e in idem]
-        assert all(np.array_equal(c, e[:, r.pivots]) for c, e, r in zip(cols, idem, rows))
-        if block is not None:
+        rows = [Subspace.from_rows(e, d, a.p) for e in idem]
+        if t is None:
             adapted += 1
+            assert t_inv is None
             assert all(np.array_equal(e, np.diag(block == j)) for j, e in enumerate(idem))
+            t = t_inv = np.eye(d, dtype=np.int64)
+        else:
+            assert np.array_equal(block, np.repeat(np.arange(len(rows)), [r.dim for r in rows]))
+        # The rows of T in block j are the reduced basis of V e_j, and the
+        # columns of T_inv there are e_j's columns at its pivots.
+        assert all(np.array_equal(t[block == j], r.basis) for j, r in enumerate(rows))
+        assert all(np.array_equal(t_inv[:, block == j], e[:, r.pivots])
+                   for j, (e, r) in enumerate(zip(idem, rows)))
+        assert np.array_equal(t @ t_inv % a.p, np.eye(d, dtype=np.int64))
+        assert np.array_equal(t_inv @ t % a.p, np.eye(d, dtype=np.int64))
         for kind, term in (("radical", radical_n), ("socle", socle_n)):
             want = [[rank(term(v, n).basis @ e % a.p, a.p) for n in range(a.loewy_length + 1)]
                     for e in idem]
@@ -317,9 +326,9 @@ def test_large_prime_cli_output_is_pinned(tmp_path, capsys):
 
 def test_layer_counts_build_no_layer_module(tmp_path, monkeypatch, capsys):
     """layer_table, both layer checkers and show count multiplicities on the
-    cached series: no hom_space and no subquotient call, apart from those
-    inside projective, injective and a_dual, which build their modules that
-    way."""
+    cached series: no Hom solve (hom_space or its stack, _hom_stack) and no
+    subquotient call, apart from those inside projective, injective and
+    a_dual, which build their modules that way."""
     import loewy.modules as modules
 
     allowed = {modules.projective.__code__, modules.injective.__code__,
@@ -336,7 +345,7 @@ def test_layer_counts_build_no_layer_module(tmp_path, monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("hom_space", "subquotient"):
+    for name in ("hom_space", "_hom_stack", "subquotient"):
         original = getattr(modules, name)
         wrapper = counting(original)
         for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "loewy"]:

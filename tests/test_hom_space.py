@@ -6,7 +6,7 @@ entries of F, with the kernels intersected in basis order.  Its products
 go through matmul_mod, which tests/test_exact.py pins to Python integers,
 so it is exact up to p = 2**31 - 1.  It needs no
 assumption about which elements generate the algebra, so it checks the
-vertex-by-vertex, arrows-only solve of hom_space matrix for matrix, also
+graded, arrows-only solve of hom_space matrix for matrix, also
 on an algebra whose basis is not of paths and on modules in random bases,
 whose vertex spaces are not spanned by coordinate vectors, and the closed
 forms out of the standard projectives and into the standard injectives on
@@ -14,6 +14,12 @@ those same families, with the general solve shut off.  The action
 of a_dual is checked in the same way, against the coordinates of each
 left multiple F_b table[c] in the reference basis of Hom(v, A), solved by
 a Python-int elimination.
+
+The general solve, one kernel in graded coordinates, is also checked
+against reference_solve_hom, the vertex-by-vertex solve it replaced,
+frozen here: they span the same space on every ordered pair of many
+families, and the solve makes as many products and kernels on every
+quiver.
 """
 
 import numpy as np
@@ -24,6 +30,7 @@ from loewy import (
     Module,
     a_dual,
     build_nakayama,
+    default_corpus,
     f_dual,
     hom_space,
     injective,
@@ -35,9 +42,12 @@ from loewy import (
     socle_layer,
     spec_to_algebra,
 )
-from loewy.linalg import kernel, matmul_mod, rref
-from test_exact import P_MAX, _rebased, _ref_matmul, _ref_rref
+from loewy.linalg import Subspace, kernel, matmul_mod, rref
+from loewy.modules import _solve_hom
+from loewy.verify import _sample_family
+from test_exact import LARGE_SPEC, P_MAX, _rebased, _ref_matmul, _ref_rref
 from test_modules import _direct_sum
+from test_oracles import _quantum_exterior_plane
 
 
 def reference_hom_basis(u, v) -> np.ndarray:
@@ -341,3 +351,134 @@ def test_a_dual_matches_python_integers_on_a_basis_that_is_not_of_paths(a3_rebas
     zero_duals = _assert_a_dual_matches_reference(a, np.random.default_rng(7))
     # soc(A_A) is S_2^3 for 0 -> 1 -> 2, so Hom(S_j, A) = 0 for j = 0, 1.
     assert zero_duals[0].dim == 0 and simple(a, 0) in zero_duals and simple(a, 1) in zero_duals
+
+
+def reference_solve_hom(u, v) -> np.ndarray:
+    """The general solve of hom_space before it ran in graded coordinates,
+    kept as it was: a stack of maps spanning Hom(u, v).
+
+    On the vertex bases R_i = V e_i and C_i = action[i][:, R_i.pivots], an
+    intertwiner is F = sum_i C_i(u) P_i R_i(v) for free blocks P_i, and an
+    arrow g with e_s g e_t != 0 asks X P_t = P_s Y, where
+    X = R_s(u) g C_t(u) and Y = R_s(v) g C_t(v)."""
+    a = u.algebra
+    p = a.p
+    du, dv = u.dim, v.dim
+    ru, rv = ([Subspace.from_rows(e, w.dim, p) for e in w.action[: a.num_vertices]]
+              for w in (u, v))
+    cu, cv = ([e[:, r.pivots] for e, r in zip(w.action, rw)] for w, rw in ((u, ru), (v, rv)))
+    offsets = np.cumsum([0] + [eu.dim * ev.dim for eu, ev in zip(ru, rv)])
+    m = int(offsets[-1])
+    if m == 0:
+        return np.zeros((0, du, dv), dtype=np.int64)
+    constraints = []
+    for g, s, t in a.arrow_ends:
+        cs, rt = ru[s].dim, rv[t].dim
+        if cs * rt == 0:
+            continue
+        x, y = (matmul_mod(matmul_mod(r[s].basis, w.action[g], p), c[t], p)
+                for w, r, c in ((u, ru, cu), (v, rv, cv)))
+        block = np.zeros((cs, rt, m), dtype=np.int64)
+        # Coefficient of P_t[c, d] in (X P_t)[a, b] is X[a, c] when b == d.
+        block[:, :, offsets[t]:offsets[t + 1]] += np.einsum(
+            "ac,bd->abcd", x, np.eye(rt, dtype=np.int64)).reshape(cs, rt, -1)
+        # Coefficient of P_s[c, d] in (P_s Y)[a, b] is Y[d, b] when a == c.
+        block[:, :, offsets[s]:offsets[s + 1]] -= np.einsum(
+            "ac,db->abcd", np.eye(cs, dtype=np.int64), y).reshape(cs, rt, -1)
+        constraints.append(block.reshape(cs * rt, m))
+    if constraints:
+        params = kernel(np.concatenate(constraints), p).basis
+    else:
+        params = np.eye(m, dtype=np.int64)
+    n = params.shape[0]
+    if n == 0:
+        return np.zeros((0, du, dv), dtype=np.int64)
+    maps = np.zeros((n, du, dv), dtype=np.int64)
+    for i, (c, r) in enumerate(zip(cu, rv)):
+        block = params[:, offsets[i]:offsets[i + 1]].reshape(n, c.shape[1], r.dim)
+        maps = (maps + matmul_mod(matmul_mod(c, block, p), r.basis, p)) % p
+    return maps
+
+
+def _one_vertex_loops(p=5):
+    """Two loops x, y at one vertex, with xy = yx, truncated at length 4."""
+    return spec_to_algebra(_spec(p, 1, [("x", 0, 0), ("y", 0, 0)],
+                                 [[(1, ["x", "y"]), (p - 1, ["y", "x"])]], 4))
+
+
+def _assert_solve_matches_reference(mods) -> list:
+    """_solve_hom spans the reference's space, with independent maps, on
+    every ordered pair of mods, closed forms aside; returns the dimensions
+    of the modules compared."""
+    for u in mods:
+        for v in mods:
+            got, want = _solve_hom(u, v), reference_solve_hom(u, v)
+            p, size = u.algebra.p, u.dim * v.dim
+            assert got.shape == want.shape
+            assert np.array_equal(rref(got.reshape(len(got), size), p)[0],
+                                  rref(want.reshape(len(want), size), p)[0])
+    return [v.dim for v in mods]
+
+
+SOLVE_ALGEBRAS = {
+    "corpus-seed-0": lambda: [a for _, a in default_corpus(seed=0)],
+    "corpus-seed-1": lambda: [a for _, a in default_corpus(seed=1)],
+    "corpus-seed-2": lambda: [a for _, a in default_corpus(seed=2)],
+    "nakayama-k-l-6": lambda: [build_nakayama(k, ell) for k in range(1, 7) for ell in range(1, 7)],
+    "one-vertex-loops": lambda: [_quantum_exterior_plane(1), _quantum_exterior_plane(2),
+                                 _one_vertex_loops()],
+    "large-primes": lambda: [build_nakayama(3, 3, 33554393), spec_to_algebra(LARGE_SPEC),
+                             build_nakayama(2, 2, P_MAX),
+                             spec_to_algebra(WITH_RELATIONS["two-vertex-p-max"])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_ALGEBRAS))
+def test_graded_solve_spans_the_reference_on_the_sampled_family(name):
+    dims = []
+    for a in SOLVE_ALGEBRAS[name]():
+        dims += _assert_solve_matches_reference([v for _, v in _sample_family(a)])
+    # A second radical layer rad_2(P) is 0 where P has Loewy length 1, as
+    # P_2 = S_2 of linear-A3 in the corpus.
+    assert 0 in dims or not name.startswith("corpus")
+
+
+@pytest.mark.parametrize("build", [
+    lambda a3_rebased: a3_rebased[0],
+    lambda a3_rebased: build_nakayama(3, 2),
+    lambda a3_rebased: spec_to_algebra(WITH_RELATIONS["random-09"]),
+    lambda a3_rebased: spec_to_algebra(WITH_RELATIONS["large-random-27"]),
+    lambda a3_rebased: spec_to_algebra(WITH_RELATIONS["two-vertex-p-max"]),
+], ids=["a3-rebased", "nakayama-k3-l2", "random-09", "large-random-27", "two-vertex-p-max"])
+def test_graded_solve_spans_the_reference_in_random_module_bases(a3_rebased, build):
+    a = build(a3_rebased)
+    own, dual = _rebased_family(a, np.random.default_rng(17))
+    assert any(v._vertex_basis()[0] is not None for v in own)  # graded by elimination
+    _assert_solve_matches_reference(own)
+    _assert_solve_matches_reference(dual)
+
+
+def test_a_solve_makes_as_many_products_and_kernels_on_every_quiver(monkeypatch, a3_rebased):
+    """The calls of matmul_mod and kernel in one solve depend only on which
+    of the two modules are vertex-adapted, not on the vertices or arrows."""
+    algebras = [build_nakayama(k, 3) for k in (1, 2, 5)] + [a3_rebased[0]]
+    algebras += [spec_to_algebra(WITH_RELATIONS[n]) for n in ("random-09", "large-random-27")]
+    calls = {}
+    for name in ("matmul_mod", "kernel"):
+        original = getattr(modules, name)
+        monkeypatch.setattr(modules, name, lambda *args, name=name, original=original: (
+            calls.__setitem__(name, calls.get(name, 0) + 1) or original(*args)))
+    counts = {}  # (u adapted, v adapted) -> the set of (products, kernels)
+    rng = np.random.default_rng(19)
+    for a in algebras:
+        p0, p1 = projective(a, 0), projective(a, a.num_vertices - 1)
+        mods = [Module(a, p0.action), Module(a, p1.action), _rebased(p0, rng), _rebased(p1, rng)]
+        for u in mods:
+            for v in mods:
+                _solve_hom(u, v)  # the vertex bases and arrow ends, computed once
+                calls.clear()
+                _solve_hom(u, v)
+                route = (u._vertex_basis()[0] is None, v._vertex_basis()[0] is None)
+                counts.setdefault(route, set()).add((calls.get("matmul_mod", 0), calls["kernel"]))
+    assert counts == {(True, True): {(0, 1)}, (True, False): {(3, 1)},
+                      (False, True): {(3, 1)}, (False, False): {(6, 1)}}

@@ -533,7 +533,7 @@ def test_the_family_of_a_peirce_algebra_builds_no_regular_module(monkeypatch):
             v = projective(a, i)
             injective(a, i)
             nakayama(v)
-            assert v._vertex_basis()[2] is not None  # vertex-adapted coordinates
+            assert v._vertex_basis()[0] is None  # vertex-adapted coordinates
     assert built == []
 
 

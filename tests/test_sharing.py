@@ -366,7 +366,7 @@ def test_records_and_plain_data_reach_no_module():
     roots += [v._data for v in family] + [radical_layer(v, 1)._data for v in family]
     assert len(a._standard_records) == 2 * a.num_vertices
     assert len(a.opposite()._standard_records) == 0  # e_i A^op leaves no record
-    plain = (dict, tuple, list, Subspace, np.ndarray, np.generic, int, str)
+    plain = (dict, tuple, list, Subspace, np.ndarray, np.generic, int, str, type(None))
     for root in roots:
         found = _reachable(root)
         assert not [x for x in found if not isinstance(x, plain)]
@@ -413,6 +413,18 @@ def _recording(original, out):
     return record
 
 
+def _recording_stacks(out):
+    """modules._hom_stack, recording each map of the stacks it returns as an
+    unchecked ModuleMap."""
+    from loewy.modules import _hom_stack
+
+    def record(u, v):
+        result = _hom_stack(u, v)
+        out.extend(ModuleMap(u, v, f, check=False) for f in result)
+        return result
+    return record
+
+
 # subquotient, hom_space and f_dual_map build without checking what their
 # construction proves; these algebras run every checker over them.
 GUARD_ALGEBRAS = {
@@ -432,6 +444,7 @@ def test_unchecked_constructions_pass_the_checks_they_skip(monkeypatch, request,
     built, maps = [], []
     _rebind(monkeypatch, modules.subquotient, _recording(modules.subquotient, built))
     _rebind(monkeypatch, modules.hom_space, _recording(modules.hom_space, maps))
+    _rebind(monkeypatch, modules._hom_stack, _recording_stacks(maps))
     _rebind(monkeypatch, modules.f_dual_map, _recording(modules.f_dual_map, maps))
     reports = run_corpus(GUARD_ALGEBRAS[name](request))
     assert reports and "fail" not in {r.status for r in reports}
@@ -447,12 +460,13 @@ def test_run_corpus_checks_once(monkeypatch):
     import loewy.modules as modules
     import loewy.verify as verify
 
-    verified, intertwined, hom_maps, claims = [], [], [], []
+    verified, intertwined, hom_maps, stacked, claims = [], [], [], [], []
     module_verify, intertwines = Module._verify, ModuleMap._intertwines
     monkeypatch.setattr(Module, "_verify", lambda v: verified.append(v) or module_verify(v))
     monkeypatch.setattr(ModuleMap, "_intertwines",
                         lambda f: intertwined.append(f) or intertwines(f))
     _rebind(monkeypatch, modules.hom_space, _recording(modules.hom_space, hom_maps))
+    _rebind(monkeypatch, modules._hom_stack, _recording_stacks(stacked))
     # The maps that carry the adjunction, with their checks.  Neither
     # verify_adjunction nor verify_duality_lemmas builds a map: they decide
     # stacks of padded matrices.
@@ -468,7 +482,8 @@ def test_run_corpus_checks_once(monkeypatch):
     assert [r.status for r in reports] == ["unknown"]  # not symmetric: Landrock skipped
     assert verified and not any(isinstance(v, SubquotientModule) for v in verified)
     checked = {id(f) for f in intertwined}  # each f is held by a list above
-    assert hom_maps and not any(id(f) in checked for f in hom_maps)
+    # The Hom bases are solved as stacks, and no map built from one is checked.
+    assert stacked and not any(id(f) in checked for f in hom_maps + stacked)
     # Each stack of maps was checked to intertwine, map by map, and passed.
     assert claims and any(len(maps) for maps, _ in claims)
     assert all(any(message == verify._NOT_INTERTWINING and ok.shape == (len(maps),) and ok.all()
@@ -477,7 +492,7 @@ def test_run_corpus_checks_once(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_verify_adjunction_solves_each_hom_pair_once(monkeypatch, seed):
-    from loewy.modules import hom_space
+    from loewy.modules import _hom_stack
 
     pairs = []
 
@@ -489,9 +504,9 @@ def test_verify_adjunction_solves_each_hom_pair_once(monkeypatch, seed):
 
     def solving(u, v):
         pairs.append((u, v, key(u), key(v)))  # holding u and v keeps the ids distinct
-        return hom_space(u, v)
+        return _hom_stack(u, v)
 
-    _rebind(monkeypatch, hom_space, solving)
+    _rebind(monkeypatch, _hom_stack, solving)
     report = verify_adjunction(build_nakayama(3, 2), sample_size=6, seed=seed)
     assert report.status == "pass"
     keys = [(ku, kv) for _, _, ku, kv in pairs]

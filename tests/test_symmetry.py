@@ -9,18 +9,32 @@ Every "yes" witness is re-checked with Python-int arithmetic.
 import numpy as np
 import pytest
 
-from loewy import build_nakayama, default_corpus, is_symmetric, linear_quiver_algebra
+from loewy import (
+    build_nakayama,
+    default_corpus,
+    is_symmetric,
+    linear_quiver_algebra,
+    spec_to_algebra,
+)
 from loewy import algebra as algebra_module
 from loewy.linalg import kernel, rref
+from test_exact import LARGE_SPEC, P_MAX
+from test_oracles import _quantum_exterior_plane
 
 REFERENCE_LIMIT = 4096
+
+
+def _forms_on_all_commutators(a):
+    """The forms vanishing on every commutator [a, b] of basis elements."""
+    p, d, t = a.p, a.dim, a.table
+    return kernel((t - t.transpose(1, 0, 2)).reshape(d * d, d) % p, p)
 
 
 def reference_status(a, limit=REFERENCE_LIMIT):
     """"yes"/"no" by trying all forms vanishing on commutators, or None when
     there are more than limit of them."""
     p, d, t = a.p, a.dim, a.table
-    cand = kernel((t - t.transpose(1, 0, 2)).reshape(d * d, d) % p, p)
+    cand = _forms_on_all_commutators(a)
     m = cand.dim
     if p**m > limit:
         return None
@@ -123,6 +137,18 @@ def _socle_lines(a):
 def test_socle_from_the_arrow_blocks_is_the_socle_from_the_radical(algebras, a3_rebased):
     for a in algebras + [a3_rebased[0]]:  # the last is not on a path basis
         assert algebra_module._right_socle(a) == _reference_socle(a)
+
+
+def test_forms_on_generator_commutators_are_the_forms_on_all_commutators(a3_rebased):
+    # [x, gh] = [xg, h] + [hx, g]: the d * |G| commutators [b, g] with a
+    # generator g cut out the same forms as all d**2 commutators [a, b].
+    algebras = [a for seed in range(3) for _, a in default_corpus(seed=seed)]
+    algebras += [build_nakayama(k, ell) for k in range(1, 7) for ell in range(1, 7)]
+    algebras += [a3_rebased[0], _quantum_exterior_plane(1), _quantum_exterior_plane(2)]
+    algebras += [build_nakayama(3, 3, 33554393), spec_to_algebra(LARGE_SPEC),
+                 build_nakayama(2, 2, P_MAX), build_nakayama(3, 2, P_MAX)]
+    for a in algebras:
+        assert algebra_module._central_forms(a) == _forms_on_all_commutators(a)
 
 
 def test_no_when_the_socle_repeats_or_misses_a_simple(monkeypatch):
