@@ -222,7 +222,8 @@ class _Presentation:
         labels = [_path_label(q, self.quiver) for q in basis_paths]
         lengths = np.array([len(q.arrows) for q in basis_paths], dtype=np.int64)
 
-        table = np.zeros((dim, dim, dim), dtype=np.int64)
+        # The smallest dtype holding p - 1: Algebra reduces it into its one int64 table.
+        table = np.zeros((dim, dim, dim), dtype=np.min_scalar_type(self.field.p - 1))
         for a, qa in enumerate(basis_paths):
             for b, qb in enumerate(basis_paths):
                 if qa.target != qb.source:
@@ -271,7 +272,8 @@ _ASSOC_BLOCK_ENTRIES = 1 << 20
 class Algebra:
     """A basic algebra with a path-representative basis and dense structure constants.
 
-    table[a, b] holds the coordinates of basis_a * basis_b.  The first
+    table[a, b] holds the coordinates of basis_a * basis_b, in one read-only
+    int64 array reduced from a copy of the caller's.  The first
     num_vertices basis elements are the primitive idempotents; the radical is
     the span of the basis paths of length >= 1.  The constructor verifies
     identity, idempotent and associativity laws, computes the radical chain,
@@ -296,7 +298,9 @@ class Algebra:
     ):
         self.field = field
         self.p = field.p
-        self.table = np.asarray(table, dtype=np.int64) % field.p
+        # One pass into a new array, casting as np.asarray(table, dtype=np.int64) does.
+        self.table = np.remainder(table, field.p, dtype=np.int64, casting="unsafe")
+        self.table.flags.writeable = False
         self.dim = self.table.shape[0]
         self.labels = list(labels)
         self.path_lengths = np.asarray(path_lengths, dtype=np.int64)
@@ -487,7 +491,8 @@ class Algebra:
 
         It is built from this verified algebra without a second check: the
         transposed table satisfies the same laws, and rad^n is a two-sided
-        ideal, so the radical chain is the same list of subspaces.  An
+        ideal, so the radical chain is the same list of subspaces.  Its
+        table is a transposed view of this one, not a copy.  An
         opposite holds its parent only weakly and rebuilds it if it is gone;
         then no module over the old parent can be alive either."""
         parent = self._opp_of() if self._opp_of is not None else None
@@ -496,7 +501,7 @@ class Algebra:
         if self._opp is None:
             opp = Algebra.__new__(Algebra)
             opp.field, opp.p, opp.dim = self.field, self.p, self.dim
-            opp.table = self.table.transpose(1, 0, 2).copy()
+            opp.table = self.table.transpose(1, 0, 2)
             opp.labels, opp.path_lengths = self.labels, self.path_lengths
             opp._generators = self._generators
             opp.num_vertices = self.num_vertices

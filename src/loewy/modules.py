@@ -33,11 +33,11 @@ a module.  When the module itself has been freed, projective and
 injective wrap the record again, so nothing is reduced, checked or
 derived a second time.  The A-dual is plain data in _data, so a
 rewrapped P_i wraps its A-dual again too, and nakayama(P_i) is one
-transposed copy of it.  f_dual keeps the module it dualizes as plain
+transposed view of it.  f_dual keeps the module it dualizes as plain
 data too, so the dual of a dual wraps the original again.  The rest is
 built again on request: series quotients, which are wrapped around their
-parent, and A_A, whose d^3 action must not outlive its holders; P_i's
-parent is A_A, built only when asked for.  No cached value or record
+parent, and A_A, a transposed view of the table; P_i's parent is A_A,
+built only when asked for.  No cached value or record
 points back at a module's owner, so an algebra and every module built
 over it are freed by reference counting alone.
 
@@ -113,9 +113,9 @@ class Module:
     @classmethod
     def _rewrap(cls, algebra: Algebra, action: np.ndarray, data: dict,
                 cache: dict | None = None) -> "Module":
-        """Another wrapper of a read-only action built and checked before,
-        with the dicts derived from it, as they are: nothing is reduced,
-        copied or checked again.  It sets every attribute that __init__ sets."""
+        """Another wrapper of a read-only action, checked before or a module's
+        by construction, with the dicts derived from it, as they are: nothing
+        is reduced, copied or checked again.  It sets every attribute that __init__ sets."""
         v = cls.__new__(cls)
         v.algebra, v.action, v.dim = algebra, action, action.shape[1]
         v._data, v._cache = data, {} if cache is None else cache
@@ -259,10 +259,11 @@ class ModuleMap:
 
 
 def regular_module(a: Algebra) -> Module:
-    """The algebra as a right module over itself, shared while held."""
+    """The algebra as a right module over itself, shared while held.  Its
+    action is a transposed view of the read-only table, not a copy."""
     v = a._standard_modules.get(("A", 0))
     if v is None:
-        v = Module(a, a.table.transpose(1, 0, 2), check=False)
+        v = Module._rewrap(a, a.table.transpose(1, 0, 2), {})
         a._standard_modules[("A", 0)] = v
     return v
 
@@ -373,7 +374,8 @@ def _projective_record(a: Algebra, i: int) -> tuple:
 def injective(a: Algebra, i: int) -> Module:
     """The injective I_i, the linear dual of e_i A^op, shared while held and
     built once per algebra, as projective is.  I_i keeps only the lift of
-    e_i A^op, for hom_space, and no module over the opposite.
+    e_i A^op, for hom_space, and no module over the opposite.  Its action
+    is a transposed view of the action of e_i A^op, as f_dual's is.
 
     On a Peirce basis e_i A^op is A e_i, spanned by the basis elements in
     R = R[i], and I_i's action is the transpose of its gather,
@@ -398,15 +400,13 @@ def _injective_record(a: Algebra, i: int) -> tuple:
     if a._peirce is None:
         opp = a.opposite()
         q = submodule(regular_module(opp), Subspace.from_rows(opp.table[i], a.dim, a.p))
-        action, lift = q.action.transpose(0, 2, 1).copy(), q.lift
+        action, lift = q.action, q.lift
     else:
         span = a._peirce[1][i]
         action = _peirce_slice(a, span, "left", "subspace is not invariant under the algebra action")
-        action = action.transpose(0, 2, 1).copy()
         lift = np.eye(a.dim, dtype=np.int64)[span]
         lift.flags.writeable = False
-    action.flags.writeable = False
-    return action, lift, {}
+    return action.transpose(0, 2, 1), lift, {}
 
 
 def _peirce_slice(a: Algebra, span: list[int], side: str, message: str) -> np.ndarray:
@@ -429,21 +429,17 @@ def _peirce_slice(a: Algebra, span: list[int], side: str, message: str) -> np.nd
 def f_dual(v: Module) -> Module:
     """Linear dual of v as a module over the opposite algebra.
 
-    Actions are transposed, and D D V = V on the nose: the dual keeps v's
-    action and _data as plain data in its own _data, and f_dual of the
-    dual wraps them again, so it shares v's vertex basis, series and
-    A-dual.  The dual is built once per module and cached on it, so its
-    own filtrations are computed once too.
+    Actions are transposed: the dual's action is a transposed view of v's,
+    not a copy.  D D V = V on the nose: the dual keeps v's action and _data
+    as plain data in its own _data, and f_dual of the dual wraps them
+    again, so it shares v's vertex basis, series and A-dual.  The dual is
+    built once per module and cached on it, so its own filtrations are
+    computed once too.
     """
     if "f_dual" not in v._cache:
-        record = v._data.get("f_dual")
-        if record is None:
-            # % p keeps its operand's strides: without the copy the action is not C-contiguous.
-            dual = Module(v.algebra.opposite(), v.action.transpose(0, 2, 1).copy(), check=False)
-            dual._data["f_dual"] = (v.action, v._data)
-        else:
-            dual = Module._rewrap(v.algebra.opposite(), *record)
-        v._cache["f_dual"] = dual
+        record = v._data.get("f_dual") or (v.action.transpose(0, 2, 1),
+                                            {"f_dual": (v.action, v._data)})
+        v._cache["f_dual"] = Module._rewrap(v.algebra.opposite(), *record)
     return v._cache["f_dual"]
 
 
@@ -593,11 +589,10 @@ def _build_a_dual(v: Module) -> ADualModule:
     forcing F_b[r_q, c_q] = delta_bq, and that the action is multiplicative,
     so it agrees with left multiplication on products of generators."""
     a = v.algebra
-    maps = hom_space(v, regular_module(a))
-    m = len(maps)
+    stacked = _hom_stack(v, regular_module(a))  # (m, v.dim, a.dim)
+    m = len(stacked)
     if m == 0:
         return ADualModule(a.opposite(), np.zeros((a.dim, 0, 0), dtype=np.int64))
-    stacked = np.array([f.matrix for f in maps], dtype=np.int64)  # (m, v.dim, a.dim)
     rows, cols = np.divmod([int(np.flatnonzero(f)[0]) for f in stacked.reshape(m, -1)], a.dim)
     action = matmul_mod(stacked[:, rows].transpose(1, 0, 2),
                         a.table[:, :, cols].transpose(2, 1, 0), a.p).transpose(2, 1, 0).copy()

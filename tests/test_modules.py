@@ -266,7 +266,8 @@ def test_a_dual_rejects_a_hom_basis_that_is_not_reduced_or_not_closed(n22, monke
         moved = v.lift @ n22.table[e] % P  # z -> e z on each image
         assert np.array_equal(moved, v.lift if e == 0 else np.zeros_like(moved))
     for basis in (summed, [inclusion]):
-        monkeypatch.setattr(modules, "hom_space", lambda u, w, basis=basis: basis)
+        stack = np.array([f.matrix for f in basis])
+        monkeypatch.setattr(modules, "_hom_stack", lambda u, w, stack=stack: stack)
         with pytest.raises(ValueError):
             modules._build_a_dual(v)
 

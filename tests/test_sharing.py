@@ -18,17 +18,22 @@ check that what subquotient, hom_space and f_dual_map build unchecked
 passes the checks it skips, that the maps carrying the adjunction
 checker's claims are still checked, that verify_adjunction solves each
 Hom pair once and none on a capital or socle submodule, and that
-verify_duality_lemmas decides each module's tuple of terms once.
+verify_duality_lemmas decides each module's tuple of terms once.  Last,
+that the structure tensor is held once: the opposite's table, A_A and
+every linear dual are read-only views, an algebra keeps its own reduced
+copy of a caller's table, and tracemalloc sees one d^3 int64 array.
 """
 
 import gc
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from loewy import (
+    Algebra,
     Module,
     ModuleMap,
     SubquotientModule,
@@ -542,3 +547,80 @@ def test_verify_duality_lemmas_decides_each_tuple_of_terms_once(monkeypatch):
     assert len(rows) == 3 * a.num_vertices * (2 * a.loewy_length + 1)
     # The simples have Loewy length 1 < 3, so their later levels repeat.
     assert len(set(calls)) == len(calls) < len(rows)
+
+
+@pytest.mark.parametrize("name", ["nakayama-k3-l2", "a3-rebased"])
+def test_transposed_uses_of_the_table_and_actions_are_read_only_views(request, name):
+    if name == "a3-rebased":  # not a Peirce basis: I_i is solved over the opposite
+        b = request.getfixturevalue("a3_rebased")[0]
+        a = Algebra(b.field, b.table, b.labels, b.path_lengths, b.num_vertices)
+    else:
+        a = build_nakayama(3, 2)
+    assert (a._peirce is None) == (name == "a3-rebased")
+    v, opp = projective(a, 0), a.opposite()
+    views = [(opp.table, a.table, (1, 0, 2)), (regular_module(a).action, a.table, (1, 0, 2)),
+             (f_dual(v).action, v.action, (0, 2, 1))]
+    # I_i is the linear dual of e_i A^op, a view of the action it was read off.
+    views += [(injective(a, i).action, injective(a, i).action.base, (0, 2, 1))
+              for i in range(a.num_vertices)]
+    for view, source, axes in views:
+        assert np.shares_memory(view, source) and np.array_equal(view, source.transpose(axes))
+        assert source.flags.c_contiguous and not view.flags.owndata
+        with pytest.raises(ValueError, match="read-only"):
+            view[...] = 0
+    for i in range(a.num_vertices):
+        want = projective(opp, i).action.transpose(0, 2, 1)
+        assert np.array_equal(injective(a, i).action, want)
+
+
+def test_algebra_keeps_its_own_reduced_copy_of_a_callers_table():
+    a = build_nakayama(3, 2)
+    p, shape = a.p, a.table.shape
+    shifts = np.random.default_rng(0).integers(-3, 4, size=shape)
+    inputs = [a.table + p * shifts, a.table - p, a.table.tolist()]
+    inputs += [a.table.astype(dtype) for dtype in (np.uint8, np.int16, np.uint32, np.uint64)]
+    for table in inputs:
+        b = Algebra(a.field, table, a.labels, a.path_lengths, a.num_vertices)
+        assert b.table.dtype == np.int64 and b.table.flags.c_contiguous
+        assert np.array_equal(b.table, a.table) and not b.table.flags.writeable
+        assert not np.shares_memory(b.table, np.asarray(table))
+    # A later write to the caller's array does not reach the algebra.
+    table = a.table.copy()
+    b = Algebra(a.field, table, a.labels, a.path_lengths, a.num_vertices)
+    table[...] = 0
+    assert np.array_equal(b.table, a.table)
+
+
+def test_run_corpus_keeps_one_structure_tensor_alive():
+    # The opposite's table is a view: what a checked algebra keeps holds one
+    # d^3 int64 array, however many duals the checkers took over A^op.
+    run_corpus([("nakayama-k2-l2", build_nakayama(2, 2))])  # imports and first-use caches
+    tracemalloc.start()
+    try:
+        a = build_nakayama(4, 6)
+        reports = run_corpus([("nakayama-k4-l6", a)])
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert reports[0].status != "fail"
+    size = a.dim ** 3 * 8
+    assert [t.size for t in snapshot.traces if t.size >= size] == [size]
+
+
+def test_building_the_table_holds_one_int64_table(monkeypatch):
+    # _Presentation.build fills the table in the smallest dtype holding p - 1
+    # and Algebra reduces it into one int64 array.  The peak is taken where
+    # the table is complete and the checks begin: the associativity check
+    # runs in blocks of up to _ASSOC_BLOCK_ENTRIES entries, more than d^3 at
+    # this size.
+    peaks = []
+    check = Algebra._verify_structure
+    monkeypatch.setattr(Algebra, "_verify_structure",
+                        lambda a: peaks.append(tracemalloc.get_traced_memory()[1]) or check(a))
+    build_nakayama(2, 2)
+    tracemalloc.start()
+    try:
+        a = build_nakayama(6, 6)
+    finally:
+        tracemalloc.stop()
+    assert a.dim == 42 and peaks[-1] < 1.5 * a.dim ** 3 * 8
